@@ -17,7 +17,6 @@ import (
 	"fastt/internal/kernels"
 	"fastt/internal/models"
 	"fastt/internal/optimal"
-	"fastt/internal/pipeline"
 	"fastt/internal/placement"
 	"fastt/internal/sim"
 )
@@ -323,52 +322,6 @@ func randomBenchDAG(rng *rand.Rand, n int) *graph.Graph {
 		}
 	}
 	return g
-}
-
-// BenchmarkAblationPipeline measures GPipe-style micro-batching (the
-// pipeline extension) against naive model parallelism on VGG-19 across two
-// GPUs, reporting the pipelined speedup in percent.
-func BenchmarkAblationPipeline(b *testing.B) {
-	cluster, err := device.SingleServer(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine := sim.NewEngine(cluster, kernels.NewDefaultOracle(cluster))
-	const miniBatch, micro = 32, 4
-	for i := 0; i < b.N; i++ {
-		full, err := models.VGG19(miniBatch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		train, err := graph.BuildDataParallel(full, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mpPlace, err := placement.ModelParallel(train, cluster, graph.DefaultMemoryModel())
-		if err != nil {
-			b.Fatal(err)
-		}
-		naive, err := engine.Run(train, mpPlace, sim.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		microModel, err := models.VGG19(miniBatch / micro)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := pipeline.Build(microModel, cluster, graph.MemoryModel{}, micro)
-		if err != nil {
-			b.Fatal(err)
-		}
-		piped, err := engine.Run(plan.Graph, plan.Placement, sim.Config{
-			Discipline: sim.Priority,
-			Priorities: plan.Priorities,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((naive.Makespan.Seconds()/piped.Makespan.Seconds()-1)*100, "pipeline-speedup-%")
-	}
 }
 
 func benchAblation(b *testing.B, run func(experiments.Config) ([]experiments.AblationRow, error)) {

@@ -449,7 +449,6 @@ func runCompute(argv []string) (retErr error) {
 		iters     = fs.Int("iters", 5, "verification iterations on the written artifact")
 		seed      = fs.Int64("seed", 1, "random seed")
 		workers   = fs.Int("workers", 0, "strategy-calculator worker goroutines (0 = all CPUs, 1 = sequential)")
-		specFlag  = fs.String("spec", "on", "speculative round pipelining in the parallel search: on|off (mirrors -workers=1 determinism escape hatches)")
 		out       = fs.String("out", "strategy.json", "write the strategy artifact to this file")
 		saveCost  = fs.String("save-costs", "", "write the learned cost models to this file")
 		loadCost  = fs.String("load-costs", "", "preload cost models saved by an earlier run")
@@ -462,14 +461,6 @@ func runCompute(argv []string) (retErr error) {
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err
-	}
-	var disableSpec bool
-	switch *specFlag {
-	case "on":
-	case "off":
-		disableSpec = true
-	default:
-		return fmt.Errorf("-spec must be on or off, got %q", *specFlag)
 	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -503,11 +494,10 @@ func runCompute(argv []string) (retErr error) {
 	}
 
 	sched := core.Options{
-		MaxSplitOps:        8,
-		MaxSyncGroups:      8,
-		Workers:            *workers,
-		DisableSpeculation: disableSpec,
-		ComputeBound:       *bound,
+		MaxSplitOps:   8,
+		MaxSyncGroups: 8,
+		Workers:       *workers,
+		ComputeBound:  *bound,
 	}
 	if *seedStrat != "" {
 		// Warm start: every bootstrap round's search prunes against the

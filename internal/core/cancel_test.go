@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fastt/internal/cost"
 	"fastt/internal/device"
 	"fastt/internal/graph"
 )
@@ -17,7 +18,7 @@ import (
 // must come from the search's own ctx checks, not from the estimator
 // failing.
 type cancellingEst struct {
-	inner  *fakeEst
+	inner  cost.Estimator
 	calls  atomic.Int64
 	after  int64
 	cancel context.CancelFunc

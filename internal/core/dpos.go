@@ -57,12 +57,13 @@ type Options struct {
 	// pass examines; 0 means unlimited.
 	MaxSyncGroups int
 	// Workers bounds the goroutines evaluating OS-DPOS split candidates
-	// concurrently. 0 (the default) uses runtime.GOMAXPROCS(0); 1 forces
-	// the sequential path. Any value yields byte-identical strategies:
-	// candidates are reduced in deterministic (makespan, dim, n) order
-	// regardless of evaluation order, and the live shared pruning bound of
-	// the concurrent path resolves ties back to the sequential
-	// first-minimum winner.
+	// and ColocateSync probes concurrently. 0 (the default) uses
+	// runtime.GOMAXPROCS(0) (see WorkerCount); 1 forces the sequential
+	// path. Any value yields byte-identical strategies: candidates are
+	// reduced in deterministic (makespan, dim, n) order regardless of
+	// evaluation order, and the live shared pruning bound of the
+	// concurrent path resolves ties back to the sequential first-minimum
+	// winner.
 	Workers int
 	// DisableInsertion turns off idle-slot insertion (ablation): operations
 	// are appended after the device's last scheduled interval instead of
@@ -82,14 +83,6 @@ type Options struct {
 	// proves it cannot beat the incumbent makespan. Pruning never changes
 	// the accepted split list; disabling it only costs time.
 	DisablePruning bool
-	// DisableSpeculation turns off speculative round pipelining in OS-DPOS:
-	// with Workers > 1 the search normally starts evaluating round k+1's
-	// candidates against the predicted round-k winner while round k is
-	// still reducing, discarding and re-evaluating on a mispredict.
-	// Speculation never changes the committed strategy (the deterministic
-	// in-order reduce is the commit point); disabling it only serializes
-	// the rounds again. No effect at Workers <= 1.
-	DisableSpeculation bool
 	// DisableLattice makes every scheduling pass resolve costs through
 	// direct per-entry cost.Estimator calls instead of the cached dense
 	// cost lattice (no comm-class dedup, no cross-call reuse, no O(Δ)
@@ -131,7 +124,11 @@ func (o Options) memory() graph.MemoryModel {
 	return o.Memory
 }
 
-func (o Options) workers() int {
+// WorkerCount resolves Workers to the number of goroutines one search fans
+// its candidates out on: Workers when positive, else GOMAXPROCS. Callers
+// sizing their own concurrency around searches (the strategy service's
+// admission limit) use it so both sides read the same number.
+func (o Options) WorkerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}

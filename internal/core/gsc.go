@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -124,15 +125,14 @@ func GradientSyncGroups(g *graph.Graph) []SyncGroup {
 // It returns the accepted pins (possibly empty) and the schedule under
 // them.
 //
-// Each group's candidate devices are probed concurrently on the shared
-// work-stealing pool (Workers > 1): every probe pins the whole group at one
-// device and runs a bounded DPOS trial against the incumbent makespan, with
-// the live shared bound letting one improving probe abort its siblings
-// mid-run. The probe order is deterministic — the variable's current device
+// Each group's candidate devices are probed concurrently (fanOut, at
+// Workers > 1): every probe pins the whole group at one device and runs a
+// bounded DPOS trial against the incumbent makespan, with the live shared
+// bound letting one improving probe abort its siblings mid-run. The probe order is deterministic — the variable's current device
 // first (the old single-probe heuristic and the preferred tiebreak), then
 // the remaining devices ascending — and a first-minimum reduce over
-// position-indexed results, with the same live-bound tie re-resolution as
-// the OS-DPOS rounds, restores the sequential answer at any worker count.
+// position-indexed results — reduceFirstMin, the same reduce the OS-DPOS
+// rounds use — restores the sequential answer at any worker count.
 // A group is accepted at the best strictly-improving device; the pass ends
 // at the first group no device improves (pruned probes prove
 // non-improvement without finishing), and moves on only past groups whose
@@ -172,8 +172,7 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 	if len(groups) == 0 || numDev < 2 {
 		return nil, sched, nil
 	}
-	pool := newWorkPool(opts.workers())
-	defer pool.close()
+	workers := opts.WorkerCount()
 	best := sched.Makespan
 	pins := make(map[string]int)
 	examined := 0
@@ -210,7 +209,7 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 		var live *atomic.Int64
 		if opts.DisablePruning {
 			bound = 0
-		} else if pool != nil {
+		} else if workers > 1 {
 			live = new(atomic.Int64)
 			live.Store(int64(best))
 		}
@@ -241,44 +240,18 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 			return candOutcome{makespan: cand.Makespan, sched: cand, ok: true}
 		}
 		results := make([]candOutcome, len(order))
-		pool.run(len(order), func(i int) { results[i] = probe(i, bound, live) })
+		fanOut(workers, len(order), func(i int) { results[i] = probe(i, bound, live) })
 		if err := ctx.Err(); err != nil {
 			releaseOutcomes(results)
 			releaseSchedule(sched)
 			return nil, nil, err
 		}
 
-		bestIdx, pruned := -1, 0
-		var bestFT time.Duration
-		for i, r := range results {
-			if r.pruned {
-				pruned++
-				continue
-			}
-			if !r.ok {
-				continue
-			}
-			if bestIdx < 0 || r.makespan < bestFT {
-				bestIdx, bestFT = i, r.makespan
-			}
-		}
-		// Live-bound tie re-resolution, as in the OS-DPOS reduce: only
-		// probes aborted exactly at bound == bestFT could have tied the
-		// minimum, and the sequential pass prefers the earliest.
-		if live != nil && bestIdx > 0 {
-			for i := 0; i < bestIdx; i++ {
-				if !results[i].pruned || results[i].bound != bestFT {
-					continue
-				}
-				if full := probe(i, bestFT+1, nil); full.ok {
-					results[i] = full
-					bestIdx = i
-					break
-				}
-			}
-		}
+		bestIdx, bestFT := reduceFirstMin(results, live != nil, func(i int, b time.Duration) candOutcome {
+			return probe(i, b, nil)
+		})
 		if bestIdx < 0 {
-			if pruned > 0 {
+			if slices.ContainsFunc(results, func(r candOutcome) bool { return r.pruned }) {
 				break // every completing probe would be non-improving
 			}
 			continue // all infeasible under pins: try the next group

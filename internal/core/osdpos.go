@@ -34,16 +34,6 @@ type SplitResult struct {
 	// bound on their makespan proved they could not beat the incumbent
 	// (Table 4). Always 0 with Options.DisablePruning.
 	Pruned int
-	// Speculated counts candidate evaluations enqueued ahead of their
-	// round's commit point — work started against a predicted (not yet
-	// committed) winner of the previous round. Like Evaluated/Pruned at
-	// Workers > 1, the count is timing-dependent (the committed strategy
-	// never is). Always 0 at Workers <= 1 or with DisableSpeculation.
-	Speculated int
-	// Mispredicted counts speculative evaluations discarded because the
-	// predicted winner they were evaluated against lost the deterministic
-	// reduce; the affected round re-runs against the actual winner.
-	Mispredicted int
 	// Seeded reports that Options.Seed was evaluated on the target cluster
 	// and its exact makespan (SeedBound) tightened the initial incumbent
 	// bound of every round. False when no seed was given or when the seed
@@ -167,8 +157,8 @@ type roundPlan struct {
 // sub-ops a split introduces take "/partN_of_M"-style suffixed names, so a
 // planned target can never collide with or be removed by an earlier
 // round's rewrite, and SplittableDims depends only on the op's own fields,
-// which rewrites copy verbatim. This is what lets the concurrent search
-// queue later rounds' candidates before earlier rounds commit.
+// which rewrites copy verbatim. Each round then only resolves its planned
+// op by name in the current graph (retarget).
 //
 // Eligibility and the MaxSplitOps cap mirror the sequential walk exactly:
 // ops with no splittable dimension are skipped without consuming budget.
@@ -218,9 +208,8 @@ type osdposRun struct {
 	devs    []*device.Device
 	est     cost.Estimator
 	opts    Options
-	pool    *workPool
+	workers int
 	plan    []roundPlan
-	specOn  bool
 	res     *SplitResult
 }
 
@@ -253,7 +242,7 @@ func (o *osdposRun) retarget(b *roundBase, planIdx int) {
 
 // makeBase materializes graph g into the evaluation base for round planIdx
 // with incumbent ftOld. The returned base's ranks come from the pool; the
-// committer (or cancelChain) releases them.
+// next commit (or the end of the search) releases them.
 func (o *osdposRun) makeBase(g *graph.Graph, planIdx int, ftOld time.Duration) (*roundBase, error) {
 	ctx, err := contextFor(g)
 	if err != nil {
@@ -267,8 +256,7 @@ func (o *osdposRun) makeBase(g *graph.Graph, planIdx int, ftOld time.Duration) (
 
 // evalCand runs one candidate against base b under the static bound and
 // (optionally) a live shared incumbent. All base state is read-only during
-// a fan-out, so any number of evalCand calls — across workers AND across
-// concurrently speculating rounds — may run at once.
+// a fan-out, so any number of evalCand calls may run at once.
 func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, live *atomic.Int64) candOutcome {
 	var s *Schedule
 	var err error
@@ -313,53 +301,58 @@ func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, liv
 	return candOutcome{makespan: s.Makespan, sched: s, ok: true}
 }
 
-// reduceRound is the deterministic commit point shared by the sequential
-// reference and every concurrent mode: reduce position-indexed results in
-// enumeration order with a strictly-less comparison, resolve live-bound
-// ties back to the sequential first-minimum winner, and decide the round's
-// fate. Returns the winning index (-1 when no candidate completed) and
-// whether the exploration stops after this round (Alg. 2's first
-// non-improving operation). When bestIdx < 0, no outcome retains a
-// schedule on return.
-func (o *osdposRun) reduceRound(b *roundBase, cands []splitCand, results []candOutcome, liveUsed bool) (bestIdx int, stop bool) {
+// reduceFirstMin is the deterministic reduce shared by both candidate
+// fan-outs (OS-DPOS rounds and ColocateSync probes): scan position-indexed
+// outcomes in enumeration order with a strictly-less comparison and return
+// the first minimum among completed ones (-1 when none completed) and its
+// makespan.
+//
+// With a live shared bound in use, ties are re-resolved back to the
+// sequential answer: a pruned outcome's makespan is >= its abort bound, and
+// abort bounds never drop below the final minimum (only completed makespans
+// are published), so exactly the outcomes aborted at bound == bestFT could
+// have tied it. The sequential reference prefers the earliest tie, so those
+// before the provisional winner are re-run via rerun under bestFT+1 in
+// order; the first to complete (proving makespan == bestFT) replaces its
+// outcome in results and wins.
+func reduceFirstMin(results []candOutcome, liveUsed bool,
+	rerun func(i int, bound time.Duration) candOutcome) (bestIdx int, bestFT time.Duration) {
 	bestIdx = -1
-	var bestFT time.Duration
-	evaluated, pruned := 0, 0
 	for i, r := range results {
-		if r.pruned {
-			pruned++
-			continue
-		}
-		if !r.ok {
-			continue
-		}
-		evaluated++
-		if bestIdx < 0 || r.makespan < bestFT {
-			bestIdx = i
-			bestFT = r.makespan
+		if r.ok && (bestIdx < 0 || r.makespan < bestFT) {
+			bestIdx, bestFT = i, r.makespan
 		}
 	}
-
-	// Deterministic tie resolution for the live bound: a pruned
-	// candidate's makespan is >= its abort bound, and abort bounds
-	// never drop below the round's final minimum (only completed
-	// makespans are published), so exactly the candidates aborted at
-	// bound == bestFT could have tied it. The sequential reference
-	// prefers the earliest tie, so re-run those before the provisional
-	// winner under bestFT+1: completion proves makespan == bestFT.
 	if liveUsed && bestIdx > 0 {
 		for i := 0; i < bestIdx; i++ {
 			if !results[i].pruned || results[i].bound != bestFT {
 				continue
 			}
-			full := o.evalCand(b, cands[i], bestFT+1, nil)
-			if full.ok {
+			if full := rerun(i, bestFT+1); full.ok {
 				results[i] = full
-				evaluated++
-				pruned--
-				bestIdx = i
-				break
+				return i, bestFT
 			}
+		}
+	}
+	return bestIdx, bestFT
+}
+
+// reduceRound is the deterministic commit point of every OS-DPOS round, at
+// any worker count: reduce the results with reduceFirstMin, count them into
+// Evaluated/Pruned, and decide the round's fate. Returns the winning index
+// (-1 when no candidate completed) and whether the exploration stops after
+// this round (Alg. 2's first non-improving operation). When bestIdx < 0,
+// no outcome retains a schedule on return.
+func (o *osdposRun) reduceRound(b *roundBase, cands []splitCand, results []candOutcome, liveUsed bool) (bestIdx int, stop bool) {
+	bestIdx, bestFT := reduceFirstMin(results, liveUsed, func(i int, bound time.Duration) candOutcome {
+		return o.evalCand(b, cands[i], bound, nil)
+	})
+	evaluated, pruned := 0, 0
+	for _, r := range results {
+		if r.pruned {
+			pruned++
+		} else if r.ok {
+			evaluated++
 		}
 	}
 
@@ -435,46 +428,46 @@ func (o *osdposRun) commitWinner(b *roundBase, cands []splitCand, results []cand
 		releaseSchedule(wsched)
 		return nil, fmt.Errorf("materialize split: %w", err)
 	}
-	o.adopt(b, nb, wsched, cands[bestIdx], planIdx)
+	releaseSchedule(o.res.Schedule)
+	o.res.Graph = winner
+	o.res.Schedule = wsched
+	o.res.Splits = append(o.res.Splits, graph.SplitDecision{
+		OpName: o.plan[planIdx].opName, Dim: cands[bestIdx].dim, N: cands[bestIdx].n,
+	})
+	releaseRanks(b.ranks)
 	return nb, nil
 }
 
-// adopt installs a committed winner: the new graph and schedule become the
-// result, the split is recorded, and the previous base's pooled ranks are
-// released.
-func (o *osdposRun) adopt(old, nb *roundBase, wsched *Schedule, c splitCand, planIdx int) {
-	releaseSchedule(o.res.Schedule)
-	o.res.Graph = nb.g
-	o.res.Schedule = wsched
-	o.res.Splits = append(o.res.Splits, graph.SplitDecision{
-		OpName: o.plan[planIdx].opName, Dim: c.dim, N: c.n,
-	})
-	releaseRanks(old.ranks)
-}
-
-// runSequential is the literal sequential reference (Workers <= 1): rounds
-// run one after another on the calling goroutine, candidates in
-// enumeration order under the static incumbent bound only. Every
-// concurrent mode must reproduce its committed strategy byte for byte.
-func (o *osdposRun) runSequential(base *roundBase) (*roundBase, error) {
+// run is the OS-DPOS round loop, the same for every worker count: per
+// planned round, fan the candidates out against the current base, reduce
+// them deterministically (reduceRound), and commit the winner
+// (commitWinner). At Workers <= 1 the candidates run on the caller in
+// enumeration order under the static incumbent bound only — the literal
+// sequential reference. At Workers > 1 they fan out under a live shared
+// bound as well, and the reduce restores the reference's committed
+// strategy byte for byte.
+func (o *osdposRun) run(base *roundBase) (*roundBase, error) {
 	for k := 0; k < len(o.plan); k++ {
 		cands := o.plan[k].cands
 		bound := base.ftOld
+		var live *atomic.Int64
 		if o.opts.DisablePruning {
 			bound = 0
+		} else if o.workers > 1 {
+			live = new(atomic.Int64)
+			live.Store(int64(base.ftOld))
 		}
 		results := make([]candOutcome, len(cands))
-		for i := range cands {
-			if o.ctxErr() != nil {
-				break
+		fanOut(o.workers, len(cands), func(i int) {
+			if o.ctxErr() == nil {
+				results[i] = o.evalCand(base, cands[i], bound, live)
 			}
-			results[i] = o.evalCand(base, cands[i], bound, nil)
-		}
+		})
 		if err := o.ctxErr(); err != nil {
 			releaseOutcomes(results)
 			return base, err
 		}
-		bestIdx, stop := o.reduceRound(base, cands, results, false)
+		bestIdx, stop := o.reduceRound(base, cands, results, live != nil)
 		if stop {
 			break
 		}
@@ -499,12 +492,10 @@ func (o *osdposRun) runSequential(base *roundBase) (*roundBase, error) {
 // does not improve it.
 //
 // The walk's rounds are planned statically up front (buildPlan) as a flat
-// (critical-path op × dimension × split count) candidate grid. With
-// Workers > 1 the grid drains through a work-stealing pool of per-worker
-// deques, and rounds pipeline speculatively (see spec.go): as soon as some
-// round-k candidate completes below the incumbent, round k+1's candidates
-// are enqueued against that predicted winner, so workers never idle on a
-// small round's barrier. Each candidate is evaluated incrementally: a
+// (critical-path op × dimension × split count) candidate grid, and run
+// one round at a time: with Workers > 1 a round's candidates fan out
+// across goroutines (fanOut) and the round joins before it commits. Each
+// candidate is evaluated incrementally: a
 // copy-on-write graph.SplitOverlay records the rewrite as a delta,
 // overlayContext patches the cached edge indexes in O(Δ), extendLattice
 // patches the dense cost lattice in O(Δ), deltaRanksOverlay reuses the
@@ -517,12 +508,9 @@ func (o *osdposRun) runSequential(base *roundBase) (*roundBase, error) {
 //
 // Rounds commit strictly in plan order through the deterministic reduce
 // (reduceRound): position-indexed results in enumeration order, a
-// strictly-less comparison, live-bound ties resolved back to the
-// first-minimum winner, and a speculative round's results are only ever
-// adopted when its predicted base equals the committed winner — otherwise
-// they are discarded and re-evaluated. Any worker count, with speculation
-// on or off, overlays or clones, pruning on or off, lattice or direct
-// estimator, returns byte-identical strategies.
+// strictly-less comparison, and live-bound ties resolved back to the
+// first-minimum winner. Any worker count, overlays or clones, pruning on
+// or off, lattice or direct estimator, returns byte-identical strategies.
 func OSDPOS(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*SplitResult, error) {
 	return OSDPOSCtx(context.Background(), g, cluster, est, opts)
 }
@@ -589,31 +577,21 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 	})
 	releaseRanks(placedRanks)
 
-	pool := newWorkPool(opts.workers())
-	defer pool.close()
 	o := &osdposRun{
 		ctx:     ctx,
 		cluster: cluster,
 		devs:    cluster.Devices(),
 		est:     est,
 		opts:    opts,
-		pool:    pool,
+		workers: opts.WorkerCount(),
 		plan:    buildPlan(g, cp, cluster.NumDevices(), opts.MaxSplitOps),
-		specOn:  pool != nil && !opts.DisableSpeculation,
 		res:     res,
 	}
 	base := &roundBase{g: g, ctx: baseCtx, lat: baseLat, ranks: baseRanks, ftOld: ftOld}
 	o.retarget(base, 0)
 
-	var final *roundBase
-	if pool == nil {
-		final, err = o.runSequential(base)
-	} else {
-		final, err = o.runPooled(base)
-	}
-	if final != nil {
-		releaseRanks(final.ranks)
-	}
+	final, err := o.run(base)
+	releaseRanks(final.ranks)
 	if err != nil {
 		if seedSched != nil {
 			releaseSchedule(seedSched)

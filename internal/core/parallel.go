@@ -2,168 +2,42 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
-// workPool is the fan-out engine of the candidate search: a fixed set of
-// worker goroutines draining per-worker deques of submitted tasks with
-// work-stealing. It replaces the two earlier overlapping mechanisms (an
-// atomic-counter runParallel and a channel-fed round pool), and adds the
-// one capability neither had: tasks can be submitted without a barrier, so
-// speculative round-(k+1) evaluations queue up behind round k instead of
-// waiting for its reduce.
-//
-// Discipline: tasks carry a monotone submission sequence number and are
-// distributed round-robin across the deques. A worker pops the FRONT
-// (oldest) task of its own deque first; an idle worker steals the front
-// HALF of the victim whose front task is oldest. Oldest-first is
-// deliberately inverted from the classic newest-first stealing of
-// fork/join schedulers: here the oldest tasks belong to the round closest
-// to its commit point, which is exactly the work the coordinator is
-// blocked on, while the newest tasks are the most speculative and the
-// cheapest to discard on a mispredict. Steal-half keeps thieves from
-// ping-ponging single tasks.
-//
-// Tasks are millisecond-scale DPOS evaluations, so a single mutex over the
-// deques costs nothing measurable; the deque structure exists for drain
-// order, not for lock avoidance. Tasks must never block on other tasks
-// (the OS-DPOS coordinator waits on rounds, but it is not a pool worker),
-// which keeps the pool trivially deadlock-free.
-type workPool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	deques [][]poolTask
-	seq    uint64
-	rr     int // round-robin submit cursor
-	closed bool
-	wg     sync.WaitGroup
-}
-
-type poolTask struct {
-	seq uint64
-	fn  func()
-}
-
-// newWorkPool starts a pool of `workers` goroutines, or returns nil (a
-// valid, sequential pool) when workers <= 1 — the nil pool is the literal
-// sequential reference path: run() executes indices in order on the
-// caller. Callers must close a non-nil pool to release the goroutines.
-func newWorkPool(workers int) *workPool {
+// fanOut is the fan-out engine of both candidate searches (OS-DPOS rounds
+// and ColocateSync probes): it calls fn(0..n-1) on up to `workers`
+// goroutines — the caller is one of them — and returns only after every
+// call has finished, so no goroutine outlives the round. Goroutines pull
+// indices from a shared atomic counter, so indices start in ascending
+// order; completion order is unspecified, so callers write into an
+// index-addressed slice and reduce in order afterwards. With workers <= 1
+// (or n <= 1) fn runs on the caller in index order — the Workers <= 1
+// sequential reference semantics.
+func fanOut(workers, n int, fn func(int)) {
+	if workers > n {
+		workers = n
+	}
 	if workers <= 1 {
-		return nil
-	}
-	p := &workPool{deques: make([][]poolTask, workers)}
-	p.cond = sync.NewCond(&p.mu)
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go p.worker(w)
-	}
-	return p
-}
-
-func (p *workPool) worker(id int) {
-	defer p.wg.Done()
-	p.mu.Lock()
-	for {
-		if t, ok := p.takeLocked(id); ok {
-			p.mu.Unlock()
-			t.fn()
-			p.mu.Lock()
-			continue
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		p.cond.Wait()
-	}
-}
-
-// takeLocked pops the front of the worker's own deque, or steals the front
-// half of the victim whose front task is oldest. Called with p.mu held.
-func (p *workPool) takeLocked(id int) (poolTask, bool) {
-	if q := p.deques[id]; len(q) > 0 {
-		t := q[0]
-		q[0].fn = nil
-		p.deques[id] = q[1:]
-		return t, true
-	}
-	victim := -1
-	for i, q := range p.deques {
-		if i == id || len(q) == 0 {
-			continue
-		}
-		if victim < 0 || q[0].seq < p.deques[victim][0].seq {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		return poolTask{}, false
-	}
-	q := p.deques[victim]
-	take := (len(q) + 1) / 2
-	t := q[0]
-	if take > 1 {
-		p.deques[id] = append(p.deques[id], q[1:take]...)
-	}
-	for i := 0; i < take; i++ {
-		q[i].fn = nil
-	}
-	p.deques[victim] = q[take:]
-	return t, true
-}
-
-// submit enqueues one task; it runs as soon as a worker is free. Must not
-// be called on a closed pool.
-func (p *workPool) submit(fn func()) {
-	p.mu.Lock()
-	p.pushLocked(fn)
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-func (p *workPool) pushLocked(fn func()) {
-	p.deques[p.rr] = append(p.deques[p.rr], poolTask{seq: p.seq, fn: fn})
-	p.seq++
-	p.rr = (p.rr + 1) % len(p.deques)
-}
-
-// run invokes fn(0..n-1) on the pool and returns when all calls have
-// finished; execution order is unspecified, so callers needing
-// deterministic results write into an index-addressed slice and reduce in
-// order afterwards. A nil pool (or n <= 1) runs sequentially on the
-// caller, in index order — the Workers <= 1 reference semantics.
-func (p *workPool) run(n int, fn func(int)) {
-	if p == nil || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	p.mu.Lock()
-	for i := 0; i < n; i++ {
-		i := i
-		p.pushLocked(func() {
+	var next atomic.Int64
+	drain := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			fn(i)
-			wg.Done()
-		})
+		}
 	}
-	p.mu.Unlock()
-	p.cond.Broadcast()
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
 	wg.Wait()
-}
-
-// close retires the pool's goroutines after the deques drain. Every
-// submitted task must be complete or self-cancelling; no submit or run may
-// follow.
-func (p *workPool) close() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.wg.Wait()
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sync"
+	"context"
+	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,61 +14,74 @@ import (
 	"fastt/internal/models"
 )
 
-func TestWorkPoolRunCoversAllIndices(t *testing.T) {
+func TestFanOutCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		pool := newWorkPool(workers)
 		hits := make([]int32, 100)
-		pool.run(len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+		fanOut(workers, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
 			}
 		}
-		pool.run(0, func(int) { t.Error("fn called for n=0") })
-		pool.close()
+		fanOut(workers, 0, func(int) { t.Error("fn called for n=0") })
 	}
 }
 
-// TestWorkPoolSubmitDrains exercises the barrier-free path the speculation
-// pipeline relies on: tasks submitted from other tasks (the launch pattern)
-// all run exactly once, across enough tasks that stealing must kick in, and
-// close() only returns after the deques drain.
-func TestWorkPoolSubmitDrains(t *testing.T) {
-	pool := newWorkPool(4)
-	const fanout = 64
-	var ran atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(fanout * 2)
-	for i := 0; i < fanout; i++ {
-		pool.submit(func() {
-			ran.Add(1)
-			pool.submit(func() { // task-submitted task, as launchTask does
-				ran.Add(1)
-				wg.Done()
-			})
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	pool.close()
-	if got := ran.Load(); got != fanout*2 {
-		t.Fatalf("ran %d tasks, want %d", got, fanout*2)
-	}
-}
-
-// TestWorkPoolSequentialReference pins down that a nil pool (Workers <= 1)
-// runs run() bodies on the caller, in index order — the sequential
-// reference semantics every concurrent mode is measured against.
-func TestWorkPoolSequentialReference(t *testing.T) {
-	var pool *workPool
-	var order []int
-	pool.run(5, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("nil pool ran out of order: %v", order)
+// TestFanOutSequentialReference pins down that Workers <= 1 runs every
+// call on the caller, in index order — the sequential reference semantics
+// every concurrent mode is measured against.
+func TestFanOutSequentialReference(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		var order []int
+		fanOut(workers, 5, func(i int) { order = append(order, i) })
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("workers=%d ran out of order: %v", workers, order)
+			}
 		}
 	}
-	pool.close() // must be a no-op, not a panic
+}
+
+// TestSearchJoinsGoroutines pins down that the candidate fan-out joins
+// before a search returns: after a successful search and after a
+// mid-search cancel at Workers=4, runtime.NumGoroutine() is back to its
+// pre-call value.
+func TestSearchJoinsGoroutines(t *testing.T) {
+	const gpus = 4
+	cluster, err := device.SingleServer(gpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := kernels.NewDefaultOracle(cluster)
+	m, err := models.AlexNet(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.BuildDataParallel(m, gpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxSplitOps: 2, MaxSyncGroups: 2, Workers: 4}
+
+	probe := &cancellingEst{inner: oracle, after: -1, cancel: func() {}}
+	before := runtime.NumGoroutine()
+	if _, err := ComputeStrategy(g, cluster, probe, opts); err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("after a search: %d goroutines, want %d", got, before)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	est := &cancellingEst{inner: oracle, after: probe.calls.Load() / 2, cancel: cancel}
+	before = runtime.NumGoroutine()
+	if _, err := ComputeStrategyCtx(ctx, g, cluster, est, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search: err = %v, want context.Canceled", err)
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("after a cancelled search: %d goroutines, want %d", got, before)
+	}
 }
 
 // TestOSDPOSWorkerDeterminism is the determinism property of the parallel

@@ -43,13 +43,6 @@ type Strategy struct {
 	// work/avoided-work pair behind Table 4's strategy-computation times.
 	Evaluated int
 	Pruned    int
-	// Speculated and Mispredicted count the candidate evaluations the
-	// pipelined search enqueued ahead of a round's commit point and the
-	// subset discarded when the predicted winner lost the deterministic
-	// reduce (see SplitResult). Both are 0 at Workers <= 1 or with
-	// DisableSpeculation.
-	Speculated   int
-	Mispredicted int
 	// Seeded, SeedBound and SeedWon report the warm start (Options.Seed):
 	// whether a prior strategy's exact makespan tightened the search's
 	// initial incumbent, what that bound was, and whether the search fell
@@ -122,15 +115,13 @@ func ComputeStrategyCtx(ctx context.Context, g *graph.Graph, cluster *device.Clu
 			Splits:        res.Splits,
 			Predicted:     res.Schedule.Makespan,
 		},
-		Graph:        res.Graph,
-		Priorities:   res.Schedule.Priorities,
-		Evaluated:    res.Evaluated,
-		Pruned:       res.Pruned,
-		Speculated:   res.Speculated,
-		Mispredicted: res.Mispredicted,
-		Seeded:       res.Seeded,
-		SeedBound:    res.SeedBound,
-		SeedWon:      res.SeedWon,
+		Graph:      res.Graph,
+		Priorities: res.Schedule.Priorities,
+		Evaluated:  res.Evaluated,
+		Pruned:     res.Pruned,
+		Seeded:     res.Seeded,
+		SeedBound:  res.SeedBound,
+		SeedWon:    res.SeedWon,
 	}
 	if tryRestrictions {
 		full, err = refineWithClassSubclusters(ctx, g, cluster, est, subOpts, full)

@@ -115,14 +115,11 @@ func refineWithClassSubclusters(ctx context.Context, g *graph.Graph, cluster *de
 		}
 		best.Evaluated += cand.Evaluated
 		best.Pruned += cand.Pruned
-		best.Speculated += cand.Speculated
-		best.Mispredicted += cand.Mispredicted
 		if cand.Predicted < best.Predicted {
 			for op, dev := range cand.Placement {
 				cand.Placement[op] = sub.ids[dev]
 			}
 			cand.Evaluated, cand.Pruned = best.Evaluated, best.Pruned
-			cand.Speculated, cand.Mispredicted = best.Speculated, best.Mispredicted
 			// The seed evaluates independently per population (it may be
 			// feasible on the full cluster but not on a restriction); keep
 			// the winner's own SeedWon but report the warm start if any

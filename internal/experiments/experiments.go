@@ -107,10 +107,6 @@ type Cell struct {
 	// and pruned across all pre-training rounds (Table 4).
 	Evaluated int
 	Pruned    int
-	// Speculated/Mispredicted count the pipelined search's ahead-of-commit
-	// evaluations and the discarded subset across all rounds (Table 4).
-	Speculated   int
-	Mispredicted int
 
 	// FastT's activated strategy, for order-enforcement re-runs (Fig. 2).
 	FastTGraph      *graph.Graph
@@ -321,8 +317,6 @@ func (r *Runner) measureFastT(cell *Cell, cluster *device.Cluster, spec models.S
 	cell.CalcWall = rep.CalcWallTotal
 	cell.Evaluated = rep.EvaluatedTotal
 	cell.Pruned = rep.PrunedTotal
-	cell.Speculated = rep.SpeculatedTotal
-	cell.Mispredicted = rep.MispredictedTotal
 	cell.FastTGraph = s.ActiveGraph()
 	cell.FastTPlacement = s.ActivePlacement()
 	cell.FastTPriorities = s.ActivePriorities()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"time"
 
@@ -221,10 +220,6 @@ type Table4Row struct {
 	// the work it proved unnecessary.
 	Evaluated int
 	Pruned    int
-	// Speculated/Mispredicted count the pipelined search's ahead-of-commit
-	// evaluations and the discarded subset at the largest GPU count.
-	Speculated   int
-	Mispredicted int
 }
 
 // Efficiency is ParSpeedup normalized by the worker count (1.0 = perfect
@@ -262,8 +257,6 @@ func Table4(r *Runner, modelNames []string) ([]Table4Row, error) {
 			if gpus == gpusMax {
 				row.Evaluated = cell.Evaluated
 				row.Pruned = cell.Pruned
-				row.Speculated = cell.Speculated
-				row.Mispredicted = cell.Mispredicted
 			}
 		}
 		sp, err := parSpeedup(r.cfg, spec, gpusMax)
@@ -271,17 +264,14 @@ func Table4(r *Runner, modelNames []string) ([]Table4Row, error) {
 			return nil, fmt.Errorf("%s parallel speedup: %w", name, err)
 		}
 		row.ParSpeedup = sp
-		row.ParWorkers = r.cfg.Workers
-		if row.ParWorkers <= 0 {
-			row.ParWorkers = runtime.GOMAXPROCS(0) // core.Options default
-		}
+		row.ParWorkers = core.Options{Workers: r.cfg.Workers}.WorkerCount()
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
 // parSpeedup times one full strategy computation sequentially (Workers: 1)
-// and with the configured worker pool, returning sequential/parallel wall
+// and with the configured worker count, returning sequential/parallel wall
 // time. Both runs produce byte-identical strategies by construction, so
 // only the clock differs.
 func parSpeedup(cfg Config, spec models.Spec, gpus int) (float64, error) {
@@ -328,7 +318,7 @@ func WriteTable4(w io.Writer, rows []Table4Row) error {
 	for _, g := range Table4GPUs() {
 		fmt.Fprintf(w, " %10dGPUs", g)
 	}
-	fmt.Fprintf(w, " %14s %10s %12s %12s\n", "Par speedup", "Eff", "Eval/Pruned", "Spec/Mispred")
+	fmt.Fprintf(w, " %14s %10s %12s\n", "Par speedup", "Eff", "Eval/Pruned")
 	for _, row := range rows {
 		fmt.Fprintf(w, "%-24s", fmt.Sprintf("%s(%d)", row.Model, row.Batch))
 		for _, d := range row.CalcWall {
@@ -339,10 +329,7 @@ func WriteTable4(w io.Writer, rows []Table4Row) error {
 		} else {
 			fmt.Fprintf(w, " %14s %10s", "-", "-")
 		}
-		fmt.Fprintf(w, " %12s %12s",
-			fmt.Sprintf("%d/%d", row.Evaluated, row.Pruned),
-			fmt.Sprintf("%d/%d", row.Speculated, row.Mispredicted))
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, " %12s\n", fmt.Sprintf("%d/%d", row.Evaluated, row.Pruned))
 	}
 	return nil
 }
@@ -357,10 +344,6 @@ type WorkerScalingRow struct {
 	// Walls are the best-observed wall times, aligned with
 	// WorkerScalingWorkers.
 	Walls []time.Duration
-	// Speculated/Mispredicted are the speculation counters of the run at
-	// the highest worker count.
-	Speculated   int
-	Mispredicted int
 }
 
 // Efficiency is the parallel efficiency at the highest worker count:
@@ -380,8 +363,8 @@ func WorkerScalingWorkers() []int { return []int{1, 2, 4, 8} }
 // WorkerScalingSweep times one full strategy computation per (model,
 // workers) cell, best of `reps` runs (wall-clock minima are the
 // least-noise estimator; scripts/bench.sh uses the same discipline). All
-// cells of a row compute byte-identical strategies — only the clock and
-// the speculation counters vary.
+// cells of a row compute byte-identical strategies — only the clock
+// varies.
 func WorkerScalingSweep(cfg Config, modelNames []string, gpus, reps int) ([]WorkerScalingRow, error) {
 	if reps < 1 {
 		reps = 1
@@ -420,15 +403,12 @@ func WorkerScalingSweep(cfg Config, modelNames []string, gpus, reps int) ([]Work
 			best := time.Duration(0)
 			for rep := 0; rep < reps; rep++ {
 				start := time.Now()
-				s, err := core.ComputeStrategy(g, cluster, oracle, opts)
-				if err != nil {
+				if _, err := core.ComputeStrategy(g, cluster, oracle, opts); err != nil {
 					return nil, fmt.Errorf("%s workers=%d: %w", name, workers, err)
 				}
 				if wall := time.Since(start); best == 0 || wall < best {
 					best = wall
 				}
-				row.Speculated = s.Speculated
-				row.Mispredicted = s.Mispredicted
 			}
 			row.Walls = append(row.Walls, best)
 		}
@@ -447,14 +427,13 @@ func WriteWorkerScaling(w io.Writer, rows []WorkerScalingRow) error {
 	for _, workers := range WorkerScalingWorkers() {
 		fmt.Fprintf(w, " %9s", fmt.Sprintf("w=%d", workers))
 	}
-	fmt.Fprintf(w, " %9s %12s\n", "eff", "Spec/Mispred")
+	fmt.Fprintf(w, " %9s\n", "eff")
 	for _, row := range rows {
 		fmt.Fprintf(w, "%-24s", row.Model)
 		for _, d := range row.Walls {
 			fmt.Fprintf(w, " %9.2f", float64(d.Microseconds())/1000)
 		}
-		fmt.Fprintf(w, " %9.3f %12s\n", row.Efficiency(),
-			fmt.Sprintf("%d/%d", row.Speculated, row.Mispredicted))
+		fmt.Fprintf(w, " %9.3f\n", row.Efficiency())
 	}
 	return nil
 }

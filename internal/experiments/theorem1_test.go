@@ -72,14 +72,13 @@ func TestTheorem1CatalogWide(t *testing.T) {
 	}
 }
 
-// TestTheorem1AcrossWorkersAndSpeculation sweeps the Workers {1,4,8} ×
-// speculation on/off matrix on a small-model subset. Strategies are
-// byte-identical across the matrix (the determinism suite pins that), so
-// the bound and C_max are computed once per model from the Workers=1
-// strategy and every configuration is checked against them — the matrix
-// exercises the parallel search paths under the theorem, not six redundant
-// bound computations.
-func TestTheorem1AcrossWorkersAndSpeculation(t *testing.T) {
+// TestTheorem1AcrossWorkers sweeps Workers {1,4,8} on a small-model
+// subset. Strategies are byte-identical across worker counts (the
+// determinism suite pins that), so the bound and C_max are computed once
+// per model from the Workers=1 strategy and every worker count is checked
+// against them — the sweep exercises the parallel search paths under the
+// theorem, not redundant bound computations.
+func TestTheorem1AcrossWorkers(t *testing.T) {
 	catalog := []string{"LeNet", "AlexNet", "VGG-19"}
 	workerCounts := []int{1, 4, 8}
 	if testing.Short() {
@@ -99,22 +98,17 @@ func TestTheorem1AcrossWorkersAndSpeculation(t *testing.T) {
 
 			var lb, cmax time.Duration
 			for _, workers := range workerCounts {
-				for _, spec := range []bool{false, true} {
-					opts := heteroTestOpts(workers)
-					opts.DisableSpeculation = spec
-					st, err := core.ComputeStrategy(train, cluster, est, opts)
-					if err != nil {
-						t.Fatalf("workers=%d spec=%v: %v", workers, !spec, err)
-					}
-					if lb == 0 {
-						lb, cmax = theorem1Check(t,
-							fmt.Sprintf("%s workers=%d", model, workers), st, cluster, est)
-						continue
-					}
-					if rhs := 2*lb + cmax; st.Predicted > rhs {
-						t.Errorf("workers=%d spec=%v: Theorem 1 violated: %v > %v",
-							workers, !spec, st.Predicted, rhs)
-					}
+				st, err := core.ComputeStrategy(train, cluster, est, heteroTestOpts(workers))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if lb == 0 {
+					lb, cmax = theorem1Check(t,
+						fmt.Sprintf("%s workers=%d", model, workers), st, cluster, est)
+					continue
+				}
+				if rhs := 2*lb + cmax; st.Predicted > rhs {
+					t.Errorf("workers=%d: Theorem 1 violated: %v > %v", workers, st.Predicted, rhs)
 				}
 			}
 		})

@@ -64,12 +64,14 @@ type Config struct {
 	Shards int
 	// Sched is the scheduling option set every search runs under; zero
 	// MaxSplitOps/MaxSyncGroups default to the CLI's production values (8
-	// each). Sched.Workers sizes one search's worker pool and feeds the
+	// each). Sched.Workers sizes one search's candidate fan-out and feeds the
 	// MaxSearches default.
 	Sched core.Options
 	// MaxSearches bounds concurrently running searches. Default
-	// max(1, GOMAXPROCS / max(1, Sched.Workers)): enough searches to fill
-	// the machine without oversubscribing each search's own pool.
+	// max(1, GOMAXPROCS / Sched.WorkerCount()): enough searches to fill
+	// the machine without oversubscribing each search's own fan-out. (A
+	// zero Sched.Workers means GOMAXPROCS workers per search, so the
+	// default is then one search.)
 	MaxSearches int
 	// MaxQueue bounds searches waiting for an admission slot; beyond it,
 	// requests fail fast with ErrQueueFull. Default 64.
@@ -103,14 +105,7 @@ func (c *Config) withDefaults() Config {
 		out.Sched.MaxSyncGroups = 8
 	}
 	if out.MaxSearches <= 0 {
-		workers := out.Sched.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		out.MaxSearches = runtime.GOMAXPROCS(0) / workers
-		if out.MaxSearches < 1 {
-			out.MaxSearches = 1
-		}
+		out.MaxSearches = max(1, runtime.GOMAXPROCS(0)/out.Sched.WorkerCount())
 	}
 	if out.MaxQueue <= 0 {
 		out.MaxQueue = 64

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -171,6 +172,27 @@ func TestDistinctKeysDoNotCoalesce(t *testing.T) {
 	}
 	if got := svc.Stats().Searches; got != 3 {
 		t.Errorf("searches = %d, want 3", got)
+	}
+}
+
+// TestMaxSearchesDefault pins the admission default to the worker count a
+// search really runs (core.Options.WorkerCount): Sched.Workers = 0 means
+// GOMAXPROCS workers per search, so a zero-value Config admits one search
+// at a time, not GOMAXPROCS searches of GOMAXPROCS goroutines each.
+// GOMAXPROCS is raised to 4 for the test so the cases differ on any host.
+func TestMaxSearchesDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, want int }{
+		{0, max(1, procs/procs)},
+		{1, procs},
+		{2, procs / 2},
+		{8, 1},
+	} {
+		got := New(Config{Sched: core.Options{Workers: tc.workers}}).Stats().MaxSearches
+		if got != tc.want {
+			t.Errorf("Sched.Workers=%d: MaxSearches = %d, want %d", tc.workers, got, tc.want)
+		}
 	}
 }
 

@@ -157,11 +157,6 @@ type Round struct {
 	// aborted, respectively.
 	Evaluated int
 	Pruned    int
-	// Speculated and Mispredicted count the candidate evaluations the
-	// pipelined search enqueued ahead of a commit point and the subset it
-	// discarded on a wrong predicted winner (0 at Workers <= 1).
-	Speculated   int
-	Mispredicted int
 	// Seeded, SeedBound and SeedWon report the round's warm start (see
 	// core.Options.Seed): whether a prior strategy tightened the search's
 	// initial incumbent, its evaluated makespan, and whether the search
@@ -195,10 +190,6 @@ type Report struct {
 	// evaluation and pruning counts (Table 4's "Eval/Pruned" column).
 	EvaluatedTotal int
 	PrunedTotal    int
-	// SpeculatedTotal and MispredictedTotal accumulate the per-round
-	// speculation counters (Table 4's "Spec/Mispred" column).
-	SpeculatedTotal   int
-	MispredictedTotal int
 	// SeededRounds and SeedWonRounds count the rounds whose search was
 	// warm-started and the subset where the seed itself won; SeedBound is
 	// the last nonzero warm-start bound (the `fastt compute -seed-strategy`
@@ -412,8 +403,6 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 		r.Splits = len(cand.Splits)
 		r.Evaluated = cand.Evaluated
 		r.Pruned = cand.Pruned
-		r.Speculated = cand.Speculated
-		r.Mispredicted = cand.Mispredicted
 		r.Seeded = cand.Seeded
 		r.SeedBound = cand.SeedBound
 		r.SeedWon = cand.SeedWon
@@ -427,8 +416,6 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 		}
 		rep.EvaluatedTotal += cand.Evaluated
 		rep.PrunedTotal += cand.Pruned
-		rep.SpeculatedTotal += cand.Speculated
-		rep.MispredictedTotal += cand.Mispredicted
 		if cand.Seeded {
 			rep.SeededRounds++
 			rep.SeedBound = cand.SeedBound

@@ -13,9 +13,10 @@
 #   2. no benchmark with baseline allocation entries may regress more than
 #      10% in B/op or allocs/op. The baseline deliberately carries alloc
 #      entries only for the deterministic sequential paths (workers=1 and
-#      DPOSThroughput): with workers > 1, speculative rounds allocate a
-#      timing-dependent amount before the commit point discards them, so
-#      parallel alloc minima are not stable enough to gate;
+#      DPOSThroughput): with workers > 1, the live shared pruning bound
+#      races — which candidates abort, and how far each gets before it
+#      does, depends on completion timing — so the allocated amount varies
+#      run to run and parallel alloc minima are not stable enough to gate;
 #   3. DPOSThroughput must not regress more than 10% against the recorded
 #      baseline. (The original form of this gate demanded >=1.5x over the
 #      pre-flattening baseline; that target was met and the baseline has

@@ -11,8 +11,8 @@
 //     passing through intermediate states the seed bound prunes (GNMT and
 //     VGG-19 shrink land in this corner, within 0.3%) — the placement-time
 //     trade the warm start exists to make, see DESIGN.md §9;
-//  3. the result is identical across worker counts and speculation modes,
-//     exactly like the cold search;
+//  3. the result is identical across worker counts, exactly like the cold
+//     search;
 //  4. a seed for a different base graph is rejected with
 //     strategy.ErrFingerprint.
 package fastt
@@ -62,20 +62,16 @@ func artifactBytes(t *testing.T, st *core.Strategy) string {
 
 // TestWarmstartProperties checks properties 1-3 for every catalog model
 // across the three cluster cases a session recomputes for (same cluster,
-// one device lost, one device joined), across Workers {1,4,8} and
-// speculation on/off. `-short` keeps the walk shallower and trims the
-// worker sweep so the -race tier stays fast; the full run is catalog-wide
-// at full depth.
+// one device lost, one device joined), across Workers {1,4,8}. `-short`
+// keeps the walk shallower and trims the worker sweep so the -race tier
+// stays fast; the full run is catalog-wide at full depth.
 func TestWarmstartProperties(t *testing.T) {
 	workerSweep := []int{1, 4, 8}
-	specModes := []bool{false, true}
 	maxSplitOps := 4
 	if testing.Short() {
-		// Keep the catalog but shallow the walk and drop the
-		// speculation-off variants — speculation on is the racy path the
-		// -race tier is there to exercise.
+		// Keep the catalog but shallow the walk; Workers=8 stays, as the
+		// concurrent path is what the -race tier is there to exercise.
 		workerSweep = []int{1, 8}
-		specModes = []bool{false}
 		maxSplitOps = 2
 	}
 
@@ -121,53 +117,50 @@ func TestWarmstartProperties(t *testing.T) {
 
 				firstBytes := ""
 				for _, w := range workerSweep {
-					for _, spec := range specModes {
-						o := opts
-						o.Workers = w
-						o.DisableSpeculation = spec
-						o.Seed = seed
-						seeded, err := core.ComputeStrategy(g, target.cluster, est, o)
-						if err != nil {
-							t.Fatalf("%s workers=%d spec=%v: seeded: %v", target.name, w, !spec, err)
+					o := opts
+					o.Workers = w
+					o.Seed = seed
+					seeded, err := core.ComputeStrategy(g, target.cluster, est, o)
+					if err != nil {
+						t.Fatalf("%s workers=%d: seeded: %v", target.name, w, err)
+					}
+					label := fmt.Sprintf("%s workers=%d", target.name, w)
+					if !seeded.Seeded {
+						t.Fatalf("%s: seed was not applied", label)
+					}
+					if seeded.SeedBound <= 0 {
+						t.Errorf("%s: SeedBound = %v, want > 0", label, seeded.SeedBound)
+					}
+					// Property 1: never worse than the seed's exact
+					// re-evaluated makespan.
+					if seeded.Predicted > seeded.SeedBound {
+						t.Errorf("%s: predicted %v worse than seed bound %v",
+							label, seeded.Predicted, seeded.SeedBound)
+					}
+					sb := artifactBytes(t, seeded)
+					// Property 2: seeding only prunes — when any
+					// candidate beat the seed, the artifact is the cold
+					// one, byte for byte (and so no worse than cold);
+					// when the seed won, the result is exactly the
+					// re-evaluated seed.
+					if !seeded.SeedWon {
+						if sb != coldBytes {
+							t.Errorf("%s: seed lost but artifact differs from cold", label)
 						}
-						label := fmt.Sprintf("%s workers=%d spec=%v", target.name, w, !spec)
-						if !seeded.Seeded {
-							t.Fatalf("%s: seed was not applied", label)
+						if seeded.Predicted > cold.Predicted {
+							t.Errorf("%s: seed lost but predicted %v worse than cold %v",
+								label, seeded.Predicted, cold.Predicted)
 						}
-						if seeded.SeedBound <= 0 {
-							t.Errorf("%s: SeedBound = %v, want > 0", label, seeded.SeedBound)
-						}
-						// Property 1: never worse than the seed's exact
-						// re-evaluated makespan.
-						if seeded.Predicted > seeded.SeedBound {
-							t.Errorf("%s: predicted %v worse than seed bound %v",
-								label, seeded.Predicted, seeded.SeedBound)
-						}
-						sb := artifactBytes(t, seeded)
-						// Property 2: seeding only prunes — when any
-						// candidate beat the seed, the artifact is the cold
-						// one, byte for byte (and so no worse than cold);
-						// when the seed won, the result is exactly the
-						// re-evaluated seed.
-						if !seeded.SeedWon {
-							if sb != coldBytes {
-								t.Errorf("%s: seed lost but artifact differs from cold", label)
-							}
-							if seeded.Predicted > cold.Predicted {
-								t.Errorf("%s: seed lost but predicted %v worse than cold %v",
-									label, seeded.Predicted, cold.Predicted)
-							}
-						} else if seeded.Predicted != seeded.SeedBound {
-							t.Errorf("%s: seed won but predicted %v != seed bound %v",
-								label, seeded.Predicted, seeded.SeedBound)
-						}
-						// Property 3: deterministic across workers and
-						// speculation, like the cold search.
-						if firstBytes == "" {
-							firstBytes = sb
-						} else if sb != firstBytes {
-							t.Errorf("%s: artifact differs across worker/speculation modes", label)
-						}
+					} else if seeded.Predicted != seeded.SeedBound {
+						t.Errorf("%s: seed won but predicted %v != seed bound %v",
+							label, seeded.Predicted, seeded.SeedBound)
+					}
+					// Property 3: deterministic across workers, like the
+					// cold search.
+					if firstBytes == "" {
+						firstBytes = sb
+					} else if sb != firstBytes {
+						t.Errorf("%s: artifact differs across worker counts", label)
 					}
 				}
 			}
