@@ -416,8 +416,8 @@ func BenchmarkOSDPOSParallel(b *testing.B) {
 // (Options.Seed) against cold searches for the Transformer at 8 GPUs, the
 // two cases scripts/bench.sh derives its warm-start ratios from:
 //
-//   - recompute/*: the same 8-GPU cluster — the cost-drift, bootstrap-round
-//     and serve related-key path. The seed wins (nothing beats its exact
+//   - recompute/*: the same 8-GPU cluster — the cost-drift and
+//     bootstrap-round path. The seed wins (nothing beats its exact
 //     makespan), the walk stops after one round, and the speedup is large;
 //     bench.sh gates best(cold)/best(seeded) at >= 1.5x.
 //   - shrink/*: 7 survivors after a device failure — the fault-recovery

@@ -73,22 +73,6 @@ type Options struct {
 	// (ablation): critical-path operations use plain min-EFT like all
 	// others.
 	DisableCPDevice bool
-	// DisableIncremental makes OS-DPOS evaluate split candidates on full
-	// SplitOperation clones instead of copy-on-write overlays with delta
-	// rank updates. Both paths produce byte-identical strategies; the clone
-	// path exists as the reference for equivalence tests and benchmarks.
-	DisableIncremental bool
-	// DisablePruning turns off bound-based candidate pruning in OS-DPOS:
-	// every candidate is scheduled to completion even after a lower bound
-	// proves it cannot beat the incumbent makespan. Pruning never changes
-	// the accepted split list; disabling it only costs time.
-	DisablePruning bool
-	// DisableLattice makes every scheduling pass resolve costs through
-	// direct per-entry cost.Estimator calls instead of the cached dense
-	// cost lattice (no comm-class dedup, no cross-call reuse, no O(Δ)
-	// overlay extension). Both paths produce byte-identical strategies;
-	// the direct path exists as the reference for equivalence tests.
-	DisableLattice bool
 	// Seed warm-starts OS-DPOS from a prior strategy artifact for the same
 	// base graph: the seed is re-materialized, evaluated once with DPOS on
 	// the target cluster for an exact feasible makespan, and that value
@@ -101,7 +85,7 @@ type Options struct {
 	// graph is an error (strategy.ErrFingerprint); a seed that fails to
 	// materialize or schedule on the target cluster is ignored and the
 	// search runs cold. Elastic Grow, fault recovery, `fastt compute
-	// -seed-strategy` and the serve related-key lookup all thread the
+	// -seed-strategy` and explicit serve client seeds all thread the
 	// strategy they already hold through this field.
 	Seed *strategy.Artifact
 	// ComputeBound annotates the finished strategy with the reference
@@ -252,25 +236,25 @@ func DPOS(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Opti
 	if err != nil {
 		return nil, fmt.Errorf("compute ranks: %w", err)
 	}
-	lat := latticeFor(ctx, cluster, est, opts)
+	lat := latticeFor(ctx, cluster, est)
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
 	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil)
 }
 
-// dposFresh schedules a throwaway graph (an OS-DPOS clone candidate): the
+// dposFresh schedules a throwaway graph (a re-materialized seed): the
 // context and lattice are derived locally and never enter the global
-// caches, exactly like the clone graph itself.
+// caches, exactly like the graph itself.
 func dposFresh(g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
-	opts Options, bound time.Duration, live *atomic.Int64) (*Schedule, error) {
+	opts Options) (*Schedule, error) {
 	ctx, err := newScheduleContext(g)
 	if err != nil {
 		return nil, err
 	}
-	lat := buildLattice(ctx, cluster.Devices(), est, !opts.DisableLattice)
+	lat := buildLattice(ctx, cluster.Devices(), est)
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
-	return dposCtx(ctx, cluster, lat, opts, ranks, bound, live)
+	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil)
 }
 
 // dposCtx is the core list scheduler. Every cost it consumes comes

@@ -160,7 +160,7 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 	if err != nil {
 		return nil, nil, fmt.Errorf("colocate sync: %w", err)
 	}
-	lat := latticeFor(sctx, cluster, est, opts)
+	lat := latticeFor(sctx, cluster, est)
 	ranks := computeRanksCtx(sctx, lat)
 	defer releaseRanks(ranks)
 	sched, err := dposCtx(sctx, cluster, lat, opts, ranks, 0, nil)
@@ -207,9 +207,7 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 		}
 		bound := best
 		var live *atomic.Int64
-		if opts.DisablePruning {
-			bound = 0
-		} else if workers > 1 {
+		if workers > 1 {
 			live = new(atomic.Int64)
 			live.Store(int64(best))
 		}
@@ -257,9 +255,9 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 			continue // all infeasible under pins: try the next group
 		}
 		if bestFT >= best {
-			// Reachable only with DisablePruning (a bounded completion
-			// beats the bound by construction): first non-improving
-			// group ends the pass.
+			// A bounded completion beats the bound by construction, so
+			// only a zero incumbent (a zero bound does not prune) gets
+			// here: the first non-improving group ends the pass.
 			releaseOutcomes(results)
 			break
 		}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"maps"
 	"testing"
 	"time"
 
 	"fastt/internal/device"
 	"fastt/internal/graph"
+	"fastt/internal/kernels"
+	"fastt/internal/models"
 )
 
 // syncFixture builds a 2-replica data-parallel graph shaped like the
@@ -256,5 +259,57 @@ func TestDPOSPinFallsBackWhenMemoryFull(t *testing.T) {
 	}
 	if sched.Placement[0] == 0 && sched.Placement[1] == 0 {
 		t.Error("soft pin overcommitted device memory")
+	}
+}
+
+// TestColocateSyncMatchesOracle pins pruning exactness of the colocation
+// pass: across the catalog at 4 GPUs, ColocateSync at Workers {1, 4}
+// must return the pins, makespan and placement of colocateSyncOracle,
+// whose probes all run unbounded to completion.
+func TestColocateSyncMatchesOracle(t *testing.T) {
+	const gpus = 4
+	cluster, err := device.SingleServer(gpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := kernels.NewDefaultOracle(cluster)
+	catalog := models.Catalog()
+	if testing.Short() {
+		catalog = catalog[:3]
+	}
+	for _, spec := range catalog {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			m, err := spec.Build(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := graph.BuildDataParallel(m, gpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := Options{MaxSyncGroups: 8}
+			wantPins, want, err := colocateSyncOracle(g, cluster, est, base)
+			if err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
+			for _, w := range []int{1, 4} {
+				opts := base
+				opts.Workers = w
+				pins, got, err := ColocateSync(g, cluster, est, opts)
+				if err != nil {
+					t.Fatalf("w=%d: %v", w, err)
+				}
+				if !maps.Equal(pins, wantPins) {
+					t.Errorf("w=%d: pins %v, oracle %v", w, pins, wantPins)
+				}
+				if got.Makespan != want.Makespan {
+					t.Errorf("w=%d: makespan %v, oracle %v", w, got.Makespan, want.Makespan)
+				}
+				if !equalInts(got.Placement, want.Placement) {
+					t.Errorf("w=%d: placements differ from the oracle", w)
+				}
+			}
+		})
 	}
 }

@@ -11,20 +11,9 @@ import (
 	"fastt/internal/models"
 )
 
-// evalClone evaluates one split candidate the reference way: full
-// SplitOperation clone, fresh context, fresh lattice, from-scratch ranks.
-func evalClone(t *testing.T, g *graph.Graph, opID int, dim graph.SplitDim, n int,
-	cluster *device.Cluster, est *kernels.Oracle) (*Schedule, error) {
-	t.Helper()
-	cand, err := graph.SplitOperation(g, opID, dim, n)
-	if err != nil {
-		return nil, err
-	}
-	return dposFresh(cand, cluster, est, Options{}, 0, nil)
-}
-
-// evalOverlay evaluates the same candidate incrementally: copy-on-write
-// overlay, patched context, extended lattice, delta ranks.
+// evalOverlay evaluates a split candidate the way OSDPOS does, against
+// evalClone (oracle_test.go) as its reference: copy-on-write overlay,
+// patched context, extended lattice, delta ranks.
 func evalOverlay(t *testing.T, baseCtx *scheduleContext, baseRanks *Ranks, anc []bool,
 	opID int, dim graph.SplitDim, n int, cluster *device.Cluster, est *kernels.Oracle,
 	baseLat *costLattice) (*graph.SplitOverlay, *Schedule, error) {
@@ -67,7 +56,7 @@ func TestOverlayCandidateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseLat := latticeFor(baseCtx, cluster, est, Options{})
+			baseLat := latticeFor(baseCtx, cluster, est)
 			baseRanks := computeRanksCtx(baseCtx, baseLat)
 			defer releaseRanks(baseRanks)
 
@@ -92,7 +81,7 @@ func TestOverlayCandidateEquivalence(t *testing.T) {
 				var anc []bool
 				for _, dim := range dims {
 					for n := 2; n <= devices; n++ {
-						cs, cerr := evalClone(t, g, opID, dim, n, cluster, est)
+						_, cs, cerr := evalClone(g, opID, dim, n, cluster, est, Options{}, buildDirectLattice)
 						if anc == nil {
 							anc = ancestorsOf(baseCtx, opID)
 						}
@@ -162,123 +151,17 @@ func compareCandidateSchedules(t *testing.T, ov *graph.SplitOverlay,
 	}
 }
 
-// TestOSDPOSIncrementalEquivalence is the end-to-end guarantee: overlays
-// and bound-based pruning are pure accelerations. Every combination of
-// {incremental, clone} x {pruning, no pruning} x worker count must return
-// the identical strategy — split list, makespan, placement, order — and
-// pruning must be inert on the accepted split list while actually firing
-// (Pruned > 0 somewhere across the catalog).
+// TestOSDPOSIncrementalEquivalence runs the oracle comparison of
+// TestOSDPOSDeterminismMatrix on two 2-GPU servers, where a transfer's cost
+// depends on whether the device pair shares a server: the incremental
+// calculator — overlays, lattice extension, comm-class sharing, delta ranks,
+// pruning — must still return osdposOracle's strategy at Workers 1 and 8.
 func TestOSDPOSIncrementalEquivalence(t *testing.T) {
-	const gpus = 4
-	cluster, err := device.SingleServer(gpus)
+	cluster, err := device.NewCluster(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := kernels.NewDefaultOracle(cluster)
-	catalog := models.Catalog()
-	if testing.Short() {
-		catalog = catalog[:3]
-	}
-	totalPruned := 0
-	for _, spec := range catalog {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			m, err := spec.Build(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := graph.BuildDataParallel(m, gpus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := Options{MaxSplitOps: 2, MaxSyncGroups: 2}
-
-			type variant struct {
-				name string
-				opts Options
-			}
-			ref := base
-			ref.DisableIncremental = true
-			ref.DisablePruning = true
-			ref.Workers = 1
-			variants := []variant{
-				{"clone/noprune/w8", with(base, true, true, 8)},
-				{"clone/prune/w1", with(base, true, false, 1)},
-				{"overlay/noprune/w1", with(base, false, true, 1)},
-				{"overlay/prune/w1", with(base, false, false, 1)},
-				{"overlay/prune/w8", with(base, false, false, 8)},
-			}
-			want, err := OSDPOS(g, cluster, oracle, ref)
-			if err != nil {
-				t.Fatalf("reference OSDPOS: %v", err)
-			}
-			if want.Pruned != 0 {
-				t.Fatalf("pruning disabled but Pruned=%d", want.Pruned)
-			}
-			for _, v := range variants {
-				got, err := OSDPOS(g, cluster, oracle, v.opts)
-				if err != nil {
-					t.Fatalf("%s: %v", v.name, err)
-				}
-				if len(got.Splits) != len(want.Splits) {
-					t.Fatalf("%s: split list %v, want %v", v.name, got.Splits, want.Splits)
-				}
-				for i := range want.Splits {
-					if got.Splits[i] != want.Splits[i] {
-						t.Fatalf("%s: split %d is %v, want %v",
-							v.name, i, got.Splits[i], want.Splits[i])
-					}
-				}
-				if got.Schedule.Makespan != want.Schedule.Makespan {
-					t.Errorf("%s: makespan %v, want %v",
-						v.name, got.Schedule.Makespan, want.Schedule.Makespan)
-				}
-				if !equalInts(got.Schedule.Placement, want.Schedule.Placement) {
-					t.Errorf("%s: placements differ", v.name)
-				}
-				if !equalInts(got.Schedule.Order, want.Schedule.Order) {
-					t.Errorf("%s: orders differ", v.name)
-				}
-				if !equalInts(got.Schedule.Priorities, want.Schedule.Priorities) {
-					t.Errorf("%s: priorities differ", v.name)
-				}
-				if v.opts.DisablePruning {
-					if got.Pruned != 0 {
-						t.Errorf("%s: pruning disabled but Pruned=%d", v.name, got.Pruned)
-					}
-					if got.Evaluated != want.Evaluated {
-						t.Errorf("%s: Evaluated=%d, reference %d",
-							v.name, got.Evaluated, want.Evaluated)
-					}
-				} else {
-					if got.Evaluated > want.Evaluated {
-						t.Errorf("%s: Evaluated=%d exceeds unpruned Evaluated=%d",
-							v.name, got.Evaluated, want.Evaluated)
-					}
-					if v.opts.Workers <= 1 && got.Evaluated+got.Pruned > want.Evaluated {
-						// The sequential static bound only ever aborts
-						// candidates the unpruned pass would have counted.
-						// The live bound of the concurrent path can also
-						// abort would-be-infeasible candidates mid-run, so
-						// the sum is not comparable there.
-						t.Errorf("%s: Evaluated+Pruned=%d exceeds unpruned Evaluated=%d",
-							v.name, got.Evaluated+got.Pruned, want.Evaluated)
-					}
-					totalPruned += got.Pruned
-				}
-			}
-		})
-	}
-	if totalPruned == 0 {
-		t.Error("bound-based pruning never fired across the catalog")
-	}
-}
-
-func with(o Options, clone, noprune bool, workers int) Options {
-	o.DisableIncremental = clone
-	o.DisablePruning = noprune
-	o.Workers = workers
-	return o
+	matchOSDPOSOracle(t, cluster, []int{1, 8})
 }
 
 // TestRestMinIsValidLowerBound checks the pruning bound's soundness
@@ -301,7 +184,7 @@ func TestRestMinIsValidLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat := latticeFor(ctx, cluster, est, Options{})
+		lat := latticeFor(ctx, cluster, est)
 		ranks := computeRanksCtx(ctx, lat)
 		sched, err := dposCtx(ctx, cluster, lat, Options{}, ranks, 0, nil)
 		if err != nil {
@@ -328,7 +211,7 @@ func TestDPOSCtxPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := latticeFor(ctx, c, est, Options{})
+	lat := latticeFor(ctx, c, est)
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
 

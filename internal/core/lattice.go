@@ -30,10 +30,8 @@ import (
 // the ext* arrays (op IDs >= baseOps, edge indexes >= baseEdges, classes >=
 // baseClasses).
 //
-// With dedup=false a lattice is built as the *direct-estimator reference*:
-// no class sharing (one class per edge) and no caching, so every entry is
-// an independent direct estimator resolution. The property tests compare
-// the two paths byte for byte.
+// The tests compare it byte for byte with a direct-estimator reference
+// (buildDirectLattice in oracle_test.go: one class per edge, no caching).
 type costLattice struct {
 	nDevs       int
 	baseOps     int
@@ -138,13 +136,12 @@ func gridMax(grid []time.Duration) time.Duration {
 	return m
 }
 
-// buildLattice resolves the full lattice for a context. It accepts both
-// graph and overlay contexts (the direct reference path builds candidate
-// lattices from overlay views); a tombstoned op keeps a zero row, which is
-// never read because the dead op is never scheduled or ranked. dedup
-// controls comm-class sharing (see costLattice).
+// buildLattice resolves the full lattice for a context, sharing one comm
+// grid per distinct tensor size (see costLattice). It accepts both graph
+// and overlay contexts; a tombstoned op keeps a zero row, which is never
+// read because the dead op is never scheduled or ranked.
 func buildLattice(ctx *scheduleContext, devs []*device.Device,
-	est cost.Estimator, dedup bool) *costLattice {
+	est cost.Estimator) *costLattice {
 	nd := len(devs)
 	nOps := ctx.nOps
 	nEdges := ctx.numEdges()
@@ -164,32 +161,19 @@ func buildLattice(ctx *scheduleContext, devs []*device.Device,
 		l.maxW[id], l.minW[id] = fillExecStats(
 			l.exec[id*nd:(id+1)*nd], est, ctx.op(id), devs)
 	}
-	if dedup {
-		l.classes = make(map[int64]int32)
-		for ei := 0; ei < nEdges; ei++ {
-			b := ctx.edgeAt(ei).Bytes
-			c, ok := l.classes[b]
-			if !ok {
-				c = int32(len(l.maxComm))
-				l.classes[b] = c
-				l.comm = append(l.comm, make([]time.Duration, nd*nd)...)
-				grid := l.comm[int(c)*nd*nd:]
-				cost.FillCommGrid(grid, est, b, devs)
-				l.maxComm = append(l.maxComm, gridMax(grid))
-			}
-			l.classOf[ei] = c
+	l.classes = make(map[int64]int32)
+	for ei := 0; ei < nEdges; ei++ {
+		b := ctx.edgeAt(ei).Bytes
+		c, ok := l.classes[b]
+		if !ok {
+			c = int32(len(l.maxComm))
+			l.classes[b] = c
+			l.comm = append(l.comm, make([]time.Duration, nd*nd)...)
+			grid := l.comm[int(c)*nd*nd:]
+			cost.FillCommGrid(grid, est, b, devs)
+			l.maxComm = append(l.maxComm, gridMax(grid))
 		}
-	} else {
-		// Direct reference: one class per edge, each grid resolved
-		// independently from the estimator.
-		l.comm = make([]time.Duration, nEdges*nd*nd)
-		l.maxComm = make([]time.Duration, nEdges)
-		for ei := 0; ei < nEdges; ei++ {
-			grid := l.comm[ei*nd*nd : (ei+1)*nd*nd]
-			cost.FillCommGrid(grid, est, ctx.edgeAt(ei).Bytes, devs)
-			l.classOf[ei] = int32(ei)
-			l.maxComm[ei] = gridMax(grid)
-		}
+		l.classOf[ei] = c
 	}
 	l.baseClasses = len(l.maxComm)
 	return l
@@ -290,19 +274,15 @@ type latEntry struct {
 	lat     *costLattice
 }
 
-// latticeFor returns the dense cost lattice for (ctx, cluster, est),
-// honoring opts.DisableLattice (direct reference build, never cached).
+// latticeFor returns the dense cost lattice for (ctx, cluster, est).
 // Results are cached only for estimators that guarantee immutable
 // predictions (cost.Frozen): snapshots and oracles hit across repeated
 // schedules of one graph; a mutable learned model is resolved fresh every
 // call so later observations are never masked by a stale table.
 func latticeFor(ctx *scheduleContext, cluster *device.Cluster,
-	est cost.Estimator, opts Options) *costLattice {
-	if opts.DisableLattice {
-		return buildLattice(ctx, cluster.Devices(), est, false)
-	}
+	est cost.Estimator) *costLattice {
 	if !cost.IsFrozen(est) {
-		return buildLattice(ctx, cluster.Devices(), est, true)
+		return buildLattice(ctx, cluster.Devices(), est)
 	}
 	latCache.Lock()
 	for i := range latCache.entries {
@@ -315,7 +295,7 @@ func latticeFor(ctx *scheduleContext, cluster *device.Cluster,
 	}
 	latCache.Unlock()
 
-	l := buildLattice(ctx, cluster.Devices(), est, true)
+	l := buildLattice(ctx, cluster.Devices(), est)
 
 	latCache.Lock()
 	slot := -1

@@ -31,7 +31,7 @@ func TestLatticeMatchesEstimator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat := latticeFor(ctx, cluster, est, Options{})
+		lat := latticeFor(ctx, cluster, est)
 		for id := 0; id < ctx.nOps; id++ {
 			op := ctx.op(id)
 			var maxW, minW int64
@@ -80,7 +80,8 @@ func TestLatticeMatchesEstimator(t *testing.T) {
 }
 
 // TestExtendLatticeMatchesRebuild checks the O(Δ) overlay extension against
-// a from-scratch direct build over the same overlay context: identical
+// a from-scratch direct-estimator build (buildDirectLattice) over the same
+// overlay context: identical
 // entries for every live op and every edge, old and new.
 func TestExtendLatticeMatchesRebuild(t *testing.T) {
 	cluster, err := device.SingleServer(3)
@@ -99,7 +100,7 @@ func TestExtendLatticeMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := latticeFor(ctx, cluster, est, Options{})
+		base := latticeFor(ctx, cluster, est)
 		tested := false
 		for opID := 0; opID < g.NumOps() && !tested; opID++ {
 			dims := g.Op(opID).SplittableDims()
@@ -113,7 +114,7 @@ func TestExtendLatticeMatchesRebuild(t *testing.T) {
 			tested = true
 			octx := overlayContext(ctx, ov)
 			ext := extendLattice(base, octx, devs, est)
-			ref := buildLattice(octx, devs, est, false)
+			ref := buildDirectLattice(octx, devs, est)
 			for id := 0; id < octx.nOps; id++ {
 				if id == octx.dead {
 					continue
@@ -153,11 +154,11 @@ func TestExtendLatticeMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestOSDPOSLatticeEquivalence is the catalog-wide flattening property: the
-// dense-lattice fast path must return a strategy byte-identical — split
-// list, makespan, placement, order, priorities — to the direct-estimator
-// reference (DisableLattice, no pruning, sequential), crossed over
-// workers in {1, 4, 8} and pruning on/off.
+// TestOSDPOSLatticeEquivalence pins comm-class dedup at the level of the
+// whole search: catalog-wide, the sequential Alg. 2 walk over clones must
+// choose the same splits, schedule and candidate count whether each clone
+// is scheduled on the production comm-class lattice (buildLattice) or on a
+// direct estimator resolution with one grid per edge (buildDirectLattice).
 func TestOSDPOSLatticeEquivalence(t *testing.T) {
 	const gpus = 4
 	cluster, err := device.SingleServer(gpus)
@@ -181,52 +182,18 @@ func TestOSDPOSLatticeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := Options{MaxSplitOps: 2, MaxSyncGroups: 2}
-			ref := base
-			ref.DisableLattice = true
-			ref.DisableIncremental = true
-			ref.DisablePruning = true
-			ref.Workers = 1
-			want, err := OSDPOS(g, cluster, oracle, ref)
+			want, err := osdposOracleOn(g, cluster, oracle, base, buildDirectLattice)
 			if err != nil {
 				t.Fatalf("direct-estimator reference: %v", err)
 			}
-			for _, workers := range []int{1, 4, 8} {
-				for _, noprune := range []bool{true, false} {
-					name := "prune"
-					if noprune {
-						name = "noprune"
-					}
-					opts := base
-					opts.Workers = workers
-					opts.DisablePruning = noprune
-					got, err := OSDPOS(g, cluster, oracle, opts)
-					if err != nil {
-						t.Fatalf("w%d/%s: %v", workers, name, err)
-					}
-					if len(got.Splits) != len(want.Splits) {
-						t.Fatalf("w%d/%s: split list %v, want %v",
-							workers, name, got.Splits, want.Splits)
-					}
-					for i := range want.Splits {
-						if got.Splits[i] != want.Splits[i] {
-							t.Fatalf("w%d/%s: split %d is %v, want %v",
-								workers, name, i, got.Splits[i], want.Splits[i])
-						}
-					}
-					if got.Schedule.Makespan != want.Schedule.Makespan {
-						t.Errorf("w%d/%s: makespan %v, want %v",
-							workers, name, got.Schedule.Makespan, want.Schedule.Makespan)
-					}
-					if !equalInts(got.Schedule.Placement, want.Schedule.Placement) {
-						t.Errorf("w%d/%s: placements differ", workers, name)
-					}
-					if !equalInts(got.Schedule.Order, want.Schedule.Order) {
-						t.Errorf("w%d/%s: orders differ", workers, name)
-					}
-					if !equalInts(got.Schedule.Priorities, want.Schedule.Priorities) {
-						t.Errorf("w%d/%s: priorities differ", workers, name)
-					}
-				}
+			got, err := osdposOracleOn(g, cluster, oracle, base, buildLattice)
+			if err != nil {
+				t.Fatalf("comm-class lattice: %v", err)
+			}
+			assertSameStrategy(t, "comm-class", want, got)
+			if got.Evaluated != want.Evaluated {
+				t.Errorf("comm-class: Evaluated=%d, direct-estimator reference %d",
+					got.Evaluated, want.Evaluated)
 			}
 		})
 	}

@@ -32,7 +32,7 @@ type SplitResult struct {
 	Evaluated int
 	// Pruned counts candidate evaluations aborted early because a lower
 	// bound on their makespan proved they could not beat the incumbent
-	// (Table 4). Always 0 with Options.DisablePruning.
+	// (Table 4).
 	Pruned int
 	// Seeded reports that Options.Seed was evaluated on the target cluster
 	// and its exact makespan (SeedBound) tightened the initial incumbent
@@ -56,9 +56,9 @@ type splitCand struct {
 // candOutcome is the result of one candidate evaluation. Completed
 // candidates retain their pooled schedule until the round's reduce: the
 // winner's is adopted as the schedule of the materialized graph (a completed
-// bounded run is exact, and the overlay and clone paths produce schedules
-// byte-identical to a fresh pass over the materialized clone — the
-// equivalence the incremental tests pin down), and the losers' are released.
+// bounded run is exact, and an overlay schedule is byte-identical to a
+// fresh pass over the materialized clone — the equivalence the incremental
+// tests pin down), and the losers' are released.
 type candOutcome struct {
 	makespan time.Duration
 	sched    *Schedule     // retained on ok; released by the reduce
@@ -196,7 +196,7 @@ type roundBase struct {
 	ctx   *scheduleContext
 	lat   *costLattice
 	ranks *Ranks
-	anc   []bool // ancestors of curID (incremental path only)
+	anc   []bool // ancestors of curID
 	curID int    // split target op ID in g; -1 when unresolved
 	ftOld time.Duration
 }
@@ -234,9 +234,7 @@ func (o *osdposRun) retarget(b *roundBase, planIdx int) {
 	}
 	if cur, ok := b.g.OpByName(o.plan[planIdx].opName); ok {
 		b.curID = cur.ID
-		if !o.opts.DisableIncremental {
-			b.anc = ancestorsOf(b.ctx, b.curID)
-		}
+		b.anc = ancestorsOf(b.ctx, b.curID)
 	}
 }
 
@@ -248,7 +246,7 @@ func (o *osdposRun) makeBase(g *graph.Graph, planIdx int, ftOld time.Duration) (
 	if err != nil {
 		return nil, err
 	}
-	lat := latticeFor(ctx, o.cluster, o.est, o.opts)
+	lat := latticeFor(ctx, o.cluster, o.est)
 	b := &roundBase{g: g, ctx: ctx, lat: lat, ranks: computeRanksCtx(ctx, lat), ftOld: ftOld}
 	o.retarget(b, planIdx)
 	return b, nil
@@ -258,36 +256,17 @@ func (o *osdposRun) makeBase(g *graph.Graph, planIdx int, ftOld time.Duration) (
 // (optionally) a live shared incumbent. All base state is read-only during
 // a fan-out, so any number of evalCand calls may run at once.
 func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, live *atomic.Int64) candOutcome {
-	var s *Schedule
-	var err error
-	if o.opts.DisableIncremental {
-		var candidate *graph.Graph
-		candidate, err = graph.SplitOperation(b.g, b.curID, c.dim, c.n)
-		if err != nil {
-			return candOutcome{} // extent too small for this n, etc.
-		}
-		s, err = dposFresh(candidate, o.cluster, o.est, o.opts, bound, live)
-	} else {
-		var ov *graph.SplitOverlay
-		ov, err = graph.NewSplitOverlay(b.g, b.curID, c.dim, c.n)
-		if err != nil {
-			return candOutcome{}
-		}
-		octx := overlayContext(b.ctx, ov)
-		var clat *costLattice
-		if o.opts.DisableLattice {
-			clat = buildLattice(octx, o.devs, o.est, false)
-		} else {
-			clat = extendLattice(b.lat, octx, o.devs, o.est)
-		}
-		ranks := deltaRanksOverlay(b.ctx, b.ranks, octx, b.anc, clat)
-		s, err = dposCtx(octx, o.cluster, clat, o.opts, ranks, bound, live)
-		releaseRanks(ranks)
-		if !o.opts.DisableLattice {
-			releaseLattice(clat)
-		}
-		releaseOverlayContext(octx)
+	ov, err := graph.NewSplitOverlay(b.g, b.curID, c.dim, c.n)
+	if err != nil {
+		return candOutcome{} // extent too small for this n, etc.
 	}
+	octx := overlayContext(b.ctx, ov)
+	clat := extendLattice(b.lat, octx, o.devs, o.est)
+	ranks := deltaRanksOverlay(b.ctx, b.ranks, octx, b.anc, clat)
+	s, err := dposCtx(octx, o.cluster, clat, o.opts, ranks, bound, live)
+	releaseRanks(ranks)
+	releaseLattice(clat)
+	releaseOverlayContext(octx)
 	if err != nil {
 		var pe *prunedError
 		if errors.As(err, &pe) {
@@ -381,7 +360,7 @@ func (o *osdposRun) reduceRound(b *roundBase, cands []splitCand, results []candO
 				break
 			}
 			// Pruned earlier but infeasible when run to completion:
-			// the clone path would have counted it nowhere either.
+			// the unpruned walk would have counted it nowhere either.
 		}
 		o.res.Evaluated += evaluated
 		o.res.Pruned += pruned
@@ -394,8 +373,9 @@ func (o *osdposRun) reduceRound(b *roundBase, cands []splitCand, results []candO
 	}
 	if bestFT >= b.ftOld {
 		// First non-improving operation ends the exploration (Alg. 2
-		// lines 11-13). Unreachable with pruning active: a completed
-		// candidate beat the bound by construction.
+		// lines 11-13). A bounded completion beats the bound by
+		// construction, so only a zero incumbent (a zero bound does not
+		// prune) gets here.
 		releaseOutcomes(results)
 		return -1, true
 	}
@@ -404,20 +384,16 @@ func (o *osdposRun) reduceRound(b *roundBase, cands []splitCand, results []candO
 
 // commitWinner materializes the accepted winner of round planIdx as a real
 // graph, adopts the schedule its evaluation already produced (a completed
-// bounded run is exact, and overlay and clone candidate schedules are
-// byte-identical to a fresh pass over the materialized clone, so
-// rescheduling would recompute the same bytes), records the split, and
-// returns the base for round planIdx+1.
+// bounded run is exact, and an overlay schedule is byte-identical to a
+// fresh pass over the materialized clone, so rescheduling would recompute
+// the same bytes), records the split, and returns the base for round
+// planIdx+1.
 func (o *osdposRun) commitWinner(b *roundBase, cands []splitCand, results []candOutcome,
 	bestIdx, planIdx int) (*roundBase, error) {
 	wsched := results[bestIdx].sched
 	results[bestIdx].sched = nil
 	releaseOutcomes(results)
-	if !o.opts.DisableIncremental {
-		// Overlay schedules live in the overlay's ID space; the clone
-		// reference path already produces the compact layout.
-		wsched = compactWinner(wsched, b.curID)
-	}
+	wsched = compactWinner(wsched, b.curID)
 	winner, err := graph.SplitOperation(b.g, b.curID, cands[bestIdx].dim, cands[bestIdx].n)
 	if err != nil {
 		releaseSchedule(wsched)
@@ -451,9 +427,7 @@ func (o *osdposRun) run(base *roundBase) (*roundBase, error) {
 		cands := o.plan[k].cands
 		bound := base.ftOld
 		var live *atomic.Int64
-		if o.opts.DisablePruning {
-			bound = 0
-		} else if o.workers > 1 {
+		if o.workers > 1 {
 			live = new(atomic.Int64)
 			live.Store(int64(base.ftOld))
 		}
@@ -509,8 +483,9 @@ func (o *osdposRun) run(base *roundBase) (*roundBase, error) {
 // Rounds commit strictly in plan order through the deterministic reduce
 // (reduceRound): position-indexed results in enumeration order, a
 // strictly-less comparison, and live-bound ties resolved back to the
-// first-minimum winner. Any worker count, overlays or clones, pruning on
-// or off, lattice or direct estimator, returns byte-identical strategies.
+// first-minimum winner. Every worker count returns the strategy of the
+// literal sequential Alg. 2 — SplitOperation clones, direct estimator
+// calls, no bound — byte for byte; that walk is kept as the test oracle.
 func OSDPOS(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*SplitResult, error) {
 	return OSDPOSCtx(context.Background(), g, cluster, est, opts)
 }
@@ -531,7 +506,7 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 	if err != nil {
 		return nil, fmt.Errorf("initial DPOS: %w", err)
 	}
-	baseLat := latticeFor(baseCtx, cluster, est, opts)
+	baseLat := latticeFor(baseCtx, cluster, est)
 	baseRanks := computeRanksCtx(baseCtx, baseLat)
 	sched, err := dposCtx(baseCtx, cluster, baseLat, opts, baseRanks, 0, nil)
 	if err != nil {
@@ -637,7 +612,7 @@ func evalSeed(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts 
 		return nil, nil, nil
 	}
 	opts.Seed = nil
-	sched, err := dposFresh(sg, cluster, est, opts, 0, nil)
+	sched, err := dposFresh(sg, cluster, est, opts)
 	if err != nil {
 		return nil, nil, nil
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -163,5 +164,81 @@ func TestComputePlacementOnlyNoSplits(t *testing.T) {
 	}
 	if st.Graph != g {
 		t.Error("placement-only strategy rewrote the graph")
+	}
+}
+
+// TestOSDPOSSeedWonAndUnmaterializable pins the two ends of the warm-start
+// contract inside the core package: a seed nothing beats comes back as the
+// result (SeedWon, its own split list, makespan equal to the seed bound),
+// and a seed that no longer materializes on the graph is ignored, so the
+// search runs cold.
+func TestOSDPOSSeedWonAndUnmaterializable(t *testing.T) {
+	g := bottleneckGraph(t, int64(100*time.Microsecond))
+	c := clusterN(t, 2)
+	est := &fakeEst{commPerByte: time.Nanosecond}
+	opts := Options{Workers: 1}
+	cold, err := ComputeStrategy(g, c, est, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Artifact.Splits) == 0 {
+		t.Fatal("cold search accepted no split; the seed would not bound anything")
+	}
+
+	seed := cold.Artifact
+	opts.Seed = &seed
+	won, err := OSDPOS(g, c, est, opts)
+	if err != nil {
+		t.Fatalf("seeded OSDPOS: %v", err)
+	}
+	if !won.Seeded || !won.SeedWon {
+		t.Fatalf("Seeded/SeedWon = %v/%v, want true/true", won.Seeded, won.SeedWon)
+	}
+	if won.Schedule.Makespan != won.SeedBound || won.SeedBound != cold.Predicted {
+		t.Errorf("makespan %v, seed bound %v, cold %v: want all equal",
+			won.Schedule.Makespan, won.SeedBound, cold.Predicted)
+	}
+	if len(won.Splits) != len(seed.Splits) || won.Splits[0] != seed.Splits[0] {
+		t.Errorf("splits %v, want the seed's %v", won.Splits, seed.Splits)
+	}
+
+	stale := cold.Artifact
+	stale.Splits = []graph.SplitDecision{{OpName: "no-such-op", Dim: graph.DimBatch, N: 2}}
+	opts.Seed = &stale
+	got, err := OSDPOS(g, c, est, opts)
+	if err != nil {
+		t.Fatalf("OSDPOS with an unmaterializable seed: %v", err)
+	}
+	want, err := OSDPOS(g, c, est, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seeded || got.SeedWon {
+		t.Errorf("unmaterializable seed reported Seeded/SeedWon = %v/%v", got.Seeded, got.SeedWon)
+	}
+	assertSameStrategy(t, "unmaterializable seed", want, got)
+}
+
+// TestOSDPOSZeroIncumbentStops covers the one case a bounded candidate can
+// complete without beating the incumbent: a zero makespan, where a zero
+// bound does not prune. The walk must stop there like the oracle does, not
+// commit a split that improves nothing.
+func TestOSDPOSZeroIncumbentStops(t *testing.T) {
+	g := bottleneckGraph(t, int64(100*time.Microsecond))
+	c := clusterN(t, 2)
+	est := &fakeEst{exec: map[string]time.Duration{"in": 0, "big": 0, "out": 0}}
+	want, err := osdposOracle(g, c, est, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Schedule.Makespan != 0 || len(want.Splits) != 0 {
+		t.Fatalf("oracle: makespan %v, splits %v; want 0 and none", want.Schedule.Makespan, want.Splits)
+	}
+	for _, w := range []int{1, 2} {
+		got, err := OSDPOS(g, c, est, Options{Workers: w})
+		if err != nil {
+			t.Fatalf("w=%d: %v", w, err)
+		}
+		assertSameStrategy(t, fmt.Sprintf("w=%d", w), want, got)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fastt/internal/cost"
 	"fastt/internal/device"
 	"fastt/internal/graph"
 	"fastt/internal/kernels"
@@ -42,10 +44,127 @@ func TestFanOutSequentialReference(t *testing.T) {
 	}
 }
 
+// searchingGoroutines returns the stack of every goroutine other than the
+// caller that is still running search code: a frame in this package above
+// its entry function, and not inside a sync.WaitGroup call. A fanOut worker
+// leaves drain — and with it every candidate evaluation — before its
+// deferred wg.Done, so a joined worker shows at most its entry frame and
+// the Done call; a worker that outlived its fan-out is still inside drain.
+// The check reads one stack snapshot and never waits.
+func searchingGoroutines() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	goroutines := strings.Split(string(buf), "\n\n")
+	var out []string
+	for _, stack := range goroutines[1:] { // [0] is the caller
+		var funcs []string
+		for _, line := range strings.Split(stack, "\n")[1:] {
+			if line == "" || strings.HasPrefix(line, "\t") ||
+				strings.HasPrefix(line, "created by ") || strings.HasPrefix(line, "...") {
+				continue
+			}
+			funcs = append(funcs, line)
+		}
+		if len(funcs) == 0 {
+			continue
+		}
+		inSearch, inWaitGroup := false, false
+		for _, f := range funcs[:len(funcs)-1] { // the last frame is the entry
+			inSearch = inSearch || strings.HasPrefix(f, "fastt/internal/core.")
+			inWaitGroup = inWaitGroup || strings.HasPrefix(f, "sync.(*WaitGroup).")
+		}
+		if inSearch && !inWaitGroup {
+			out = append(out, stack)
+		}
+	}
+	return out
+}
+
+// stallingEst wraps an estimator so that a fanOut worker is still
+// evaluating a candidate long after the search's own goroutine (the one
+// that built the estimator) has run out of indices: a fan-out that did not
+// join would let the search return with that worker inside drain. The
+// first Exec call made off the search's goroutine calls onStall and then
+// sleeps for stall. The search's goroutine, at its first Exec call inside a
+// fan-out, waits until a worker has stalled, so that one is sure to; if
+// none has within stall, it calls onStall itself.
+type stallingEst struct {
+	cost.Estimator
+	caller  string
+	stall   time.Duration
+	onStall func()
+	done    atomic.Bool
+	stalled chan struct{}
+}
+
+func newStallingEst(inner cost.Estimator, stall time.Duration, onStall func()) *stallingEst {
+	return &stallingEst{Estimator: inner, caller: goroutineID(ownStack()), stall: stall,
+		onStall: onStall, stalled: make(chan struct{})}
+}
+
+func (s *stallingEst) Exec(op *graph.Op, d *device.Device) time.Duration {
+	if !s.done.Load() {
+		stack := ownStack()
+		switch {
+		case goroutineID(stack) != s.caller:
+			if s.done.CompareAndSwap(false, true) {
+				s.onStall()
+				close(s.stalled)
+				time.Sleep(s.stall)
+			}
+		case strings.Contains(stack, "fastt/internal/core.fanOut("):
+			select {
+			case <-s.stalled:
+			case <-time.After(s.stall):
+				if s.done.CompareAndSwap(false, true) {
+					s.onStall()
+				}
+			}
+		}
+	}
+	return s.Estimator.Exec(op, d)
+}
+
+// ownStack returns the calling goroutine's stack trace.
+func ownStack() string {
+	buf := make([]byte, 1<<14)
+	return string(buf[:runtime.Stack(buf, false)])
+}
+
+// goroutineID returns the goroutine number from a stack trace's header.
+func goroutineID(stack string) string { return strings.Fields(stack)[1] }
+
+// settledGoroutines returns runtime.NumGoroutine() once it is at most want,
+// or after a second. A joined fanOut worker may still be returning from
+// wg.Done when the search returns; a leaked one never exits.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSearchJoinsGoroutines pins down that the candidate fan-out joins
-// before a search returns: after a successful search and after a
-// mid-search cancel at Workers=4, runtime.NumGoroutine() is back to its
-// pre-call value.
+// before a search returns, after a successful search and after a
+// mid-search cancel at Workers=4: the moment the search returns, no other
+// goroutine is running search code (searchingGoroutines), and no goroutine
+// leaks — runtime.NumGoroutine() settles back to at most its pre-call
+// value (a goroutine of an earlier test may exit meanwhile). One
+// worker stalls in its first estimator call (stallingEst) for longer than
+// the rest of the search takes — in the cancelled search, it is the one
+// that cancels — so without the join it would still be inside drain when
+// the search returns.
 func TestSearchJoinsGoroutines(t *testing.T) {
 	const gpus = 4
 	cluster, err := device.SingleServer(gpus)
@@ -62,25 +181,38 @@ func TestSearchJoinsGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{MaxSplitOps: 2, MaxSyncGroups: 2, Workers: 4}
+	if s := searchingGoroutines(); len(s) > 0 {
+		t.Fatalf("search code running before the test:\n%s", strings.Join(s, "\n\n"))
+	}
 
-	probe := &cancellingEst{inner: oracle, after: -1, cancel: func() {}}
+	const stall = 200 * time.Millisecond
 	before := runtime.NumGoroutine()
-	if _, err := ComputeStrategy(g, cluster, probe, opts); err != nil {
+	_, err = ComputeStrategy(g, cluster, newStallingEst(oracle, stall, func() {}), opts)
+	running := searchingGoroutines()
+	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Errorf("after a search: %d goroutines, want %d", got, before)
+	if len(running) > 0 {
+		t.Errorf("after a search, %d goroutines still run search code:\n%s",
+			len(running), strings.Join(running, "\n\n"))
+	}
+	if got := settledGoroutines(before); got > before {
+		t.Errorf("after a search: %d goroutines, want at most %d", got, before)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	est := &cancellingEst{inner: oracle, after: probe.calls.Load() / 2, cancel: cancel}
-	before = runtime.NumGoroutine()
-	if _, err := ComputeStrategyCtx(ctx, g, cluster, est, opts); !errors.Is(err, context.Canceled) {
+	_, err = ComputeStrategyCtx(ctx, g, cluster, newStallingEst(oracle, stall, cancel), opts)
+	running = searchingGoroutines()
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search: err = %v, want context.Canceled", err)
 	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Errorf("after a cancelled search: %d goroutines, want %d", got, before)
+	if len(running) > 0 {
+		t.Errorf("after a cancelled search, %d goroutines still run search code:\n%s",
+			len(running), strings.Join(running, "\n\n"))
+	}
+	if got := settledGoroutines(before); got > before {
+		t.Errorf("after a cancelled search: %d goroutines, want at most %d", got, before)
 	}
 }
 

@@ -43,7 +43,7 @@ func ComputeRanks(g *graph.Graph, cluster *device.Cluster, est cost.Estimator) (
 		return nil, err
 	}
 	est = cost.ReadSnapshot(est)
-	return computeRanksCtx(ctx, latticeFor(ctx, cluster, est, Options{})), nil
+	return computeRanksCtx(ctx, latticeFor(ctx, cluster, est)), nil
 }
 
 // computeRanksCtx is the context-based core of ComputeRanks: topological

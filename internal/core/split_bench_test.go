@@ -37,7 +37,7 @@ func BenchmarkSplitCandidate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	baseLat := latticeFor(baseCtx, cluster, est, Options{})
+	baseLat := latticeFor(baseCtx, cluster, est)
 	baseRanks := computeRanksCtx(baseCtx, baseLat)
 	defer releaseRanks(baseRanks)
 
@@ -69,7 +69,7 @@ func BenchmarkSplitCandidate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := dposFresh(cand, cluster, est, Options{}, 0, nil)
+			s, err := dposFresh(cand, cluster, est, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -104,39 +104,6 @@ func (c *cache) put(key strategy.CacheKey, bytes []byte, size int64) {
 	}
 }
 
-// related returns a cached artifact that can warm-start a search for key:
-// same base-graph fingerprint, different key — a strategy computed for the
-// same model before the cluster or cost model changed. Among candidates it
-// prefers the one whose cluster size is closest to want (a shrink-by-one
-// seed prunes tighter than one from a very different cluster), breaking ties
-// on the smaller key string so the pick is deterministic. The scan walks
-// every shard; at artifact-cache sizes (thousands of entries, misses only)
-// this is far cheaper than the search it accelerates.
-func (c *cache) related(key strategy.CacheKey, want int) []byte {
-	var bestBytes []byte
-	var bestKey string
-	bestDist := -1
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if e.key == key || e.key.Fingerprint != key.Fingerprint {
-				continue
-			}
-			dist := e.key.Cluster.NumDevices() - want
-			if dist < 0 {
-				dist = -dist
-			}
-			ks := e.key.String()
-			if bestBytes == nil || dist < bestDist || (dist == bestDist && ks < bestKey) {
-				bestBytes, bestKey, bestDist = e.bytes, ks, dist
-			}
-		}
-		s.mu.Unlock()
-	}
-	return bestBytes
-}
-
 // usage totals entry and byte counts across shards.
 func (c *cache) usage() (entries, bytes int64) {
 	for _, s := range c.shards {

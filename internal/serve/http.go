@@ -19,11 +19,20 @@ import (
 // "miss" (this request led the search) or "coalesced" (it joined one).
 const CacheHeader = "X-Fastt-Cache"
 
-// SeedHeader reports how the search behind a /v1/compute response used a
-// warm-start seed: "seeded" (the seed bounded the search), "won" (nothing
-// beat the seed; the artifact is the re-materialized seed strategy). Absent
-// on cold searches and cache hits.
+// SeedHeader reports how the search behind a /v1/compute response used the
+// client's warm-start seed: "seeded" (the seed bounded the search), "won"
+// (nothing beat the seed; the artifact is the re-materialized seed
+// strategy). Absent on cold searches and cache hits.
 const SeedHeader = "X-Fastt-Seed"
+
+// maxRequestBytes caps a /v1/compute request body. The largest catalog
+// graph with a learned cost snapshot is a few MB. A body that declares a
+// larger Content-Length is answered 413 unread. One that streams past the
+// cap is answered 413 once the decoder has read maxRequestBytes; the
+// decoder keeps the unfinished value whole in a buffer that doubles, so
+// such a request costs about 4× the cap in allocations (256 MiB), at most
+// 3× live at once.
+const maxRequestBytes = 64 << 20
 
 // computeRequest is the wire form of a strategy question.
 type computeRequest struct {
@@ -49,7 +58,7 @@ type computeRequest struct {
 	// warm-starts a cache-miss search for the same base graph — typically
 	// the artifact a client computed before its cluster changed shape. A
 	// seed for a different graph fingerprint is rejected with 400. Absent,
-	// the service still tries its own cache for a related artifact.
+	// a miss runs a cold search.
 	Seed json.RawMessage `json:"seed,omitempty"`
 	// TimeoutMs optionally caps this request's wall time.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
@@ -72,11 +81,21 @@ func (s *Service) Handler() http.Handler {
 }
 
 func (s *Service) handleCompute(w http.ResponseWriter, r *http.Request) {
+	if r.ContentLength > maxRequestBytes {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body of %d bytes exceeds the %d-byte cap", r.ContentLength, maxRequestBytes))
+		return
+	}
 	var wire computeRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&wire); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	req, err := s.buildRequest(&wire)
@@ -175,7 +194,8 @@ func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // writeComputeError maps service errors onto HTTP statuses: malformed
 // requests 400, unknown fingerprints 404, a full admission queue 429, an
-// abandoned or timed-out search 504, anything else 500.
+// abandoned or timed-out search 504, anything else 500. (A body over
+// maxRequestBytes is answered 413 by handleCompute.)
 func writeComputeError(w http.ResponseWriter, err error) {
 	var br *BadRequestError
 	switch {

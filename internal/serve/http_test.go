@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -155,6 +156,10 @@ func TestHTTPErrorMapping(t *testing.T) {
 		{"no cluster", `{"graphFingerprint":"ab"}`, http.StatusBadRequest},
 		{"irregular shape", `{"cluster":{"servers":1,"gpusPerServer":1,"devices":3},"graphFingerprint":"ab"}`, http.StatusBadRequest},
 		{"uncached fingerprint", `{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff"}`, http.StatusNotFound},
+		{"uncached fingerprint with timeout", `{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff","timeoutMs":1000}`, http.StatusNotFound},
+		{"malformed graph", `{"cluster":{"servers":1,"gpusPerServer":2},"graph":"not a graph"}`, http.StatusBadRequest},
+		{"malformed seed", `{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ab","seed":"not an artifact"}`, http.StatusBadRequest},
+		{"malformed costs", `{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ab","costs":"not a model"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,5 +181,60 @@ func TestHTTPErrorMapping(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/compute status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// endlessReader streams one byte forever. It fails the read once the server
+// has consumed twice the body cap, so an uncapped handler errors out
+// instead of hanging.
+type endlessReader struct {
+	b    byte
+	read int64
+}
+
+func (r *endlessReader) Read(p []byte) (int, error) {
+	if r.read > 2*maxRequestBytes {
+		return 0, errors.New("handler read past twice the body cap")
+	}
+	for i := range p {
+		p[i] = r.b
+	}
+	r.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestHTTPBodyLimit streams a request whose body never ends: the handler
+// must stop reading at maxRequestBytes and answer 413. The decoder buffers
+// the unfinished string whole, so this allocates about 256 MiB in all
+// (see maxRequestBytes). A body that declares a Content-Length over the
+// cap must be answered 413 without a byte read.
+func TestHTTPBodyLimit(t *testing.T) {
+	svc := New(Config{Strategist: stubStrategist(nil)})
+	body := &endlessReader{b: 'a'}
+	req := httptest.NewRequest(http.MethodPost, "/v1/compute",
+		io.MultiReader(strings.NewReader(`{"model":"`), body))
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413 (body %s)", rec.Code, rec.Body.Bytes())
+	}
+	if body.read > 2*maxRequestBytes {
+		t.Errorf("handler read %d bytes, cap is %d", body.read, maxRequestBytes)
+	}
+	var e map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e["error"] == "" {
+		t.Errorf("error body not of the form {\"error\": ...}: %s", rec.Body.Bytes())
+	}
+
+	declared := &endlessReader{b: ' '}
+	req = httptest.NewRequest(http.MethodPost, "/v1/compute", declared)
+	req.ContentLength = maxRequestBytes + 1
+	rec = httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared length: status = %d, want 413 (body %s)", rec.Code, rec.Body.Bytes())
+	}
+	if declared.read != 0 {
+		t.Errorf("declared length: handler read %d bytes, want 0", declared.read)
 	}
 }

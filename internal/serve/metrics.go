@@ -41,7 +41,7 @@ type metrics struct {
 	evictions    atomic.Int64 // cache entries evicted by the byte budget
 	rejected     atomic.Int64 // requests bounced with ErrQueueFull
 
-	seeded  atomic.Int64 // searches warm-started from a seed artifact
+	seeded  atomic.Int64 // searches warm-started from a client seed
 	seedWon atomic.Int64 // seeded searches where nothing beat the seed
 
 	queueDepth atomic.Int64 // searches currently waiting for an admission slot
@@ -78,10 +78,10 @@ type Stats struct {
 	Coalesced    int64      `json:"coalesced"`
 	Searches     int64      `json:"searches"`
 	SearchErrors int64      `json:"searchErrors"`
-	// Seeded counts searches warm-started from a prior artifact (explicit
-	// client seed or the service's own related-key cache scan); SeedWon
-	// counts the subset where no candidate beat the seed and the response is
-	// the re-materialized seed strategy.
+	// Seeded counts searches warm-started from an explicit client seed
+	// (the service never picks a seed itself); SeedWon counts the subset
+	// where no candidate beat the seed and the response is the
+	// re-materialized seed strategy.
 	Seeded      int64 `json:"seeded"`
 	SeedWon     int64 `json:"seedWon"`
 	Rejected    int64 `json:"rejected"`

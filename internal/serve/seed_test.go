@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -13,6 +15,8 @@ import (
 	"fastt/internal/cost"
 	"fastt/internal/device"
 	"fastt/internal/graph"
+	"fastt/internal/kernels"
+	"fastt/internal/models"
 	"fastt/internal/strategy"
 )
 
@@ -59,8 +63,8 @@ func (r *seedRecordingStrategist) seedOf(t *testing.T, call int) *strategy.Artif
 
 // TestSeedFingerprintMismatchRejected is the satellite validation gate: a
 // seed artifact for a different base graph must be rejected up front — a
-// related-key lookup or a confused client can never materialize a split
-// list against the wrong graph.
+// confused client can never materialize a split list against the wrong
+// graph.
 func TestSeedFingerprintMismatchRejected(t *testing.T) {
 	svc := New(Config{Strategist: stubStrategist(nil)})
 	g := tinyGraph(t)
@@ -132,48 +136,69 @@ func TestSeedExplicitThreadedToSearch(t *testing.T) {
 	}
 }
 
-// TestSeedRelatedKeyLookup checks the best-effort cache scan: a cold miss
-// for a cluster shape the service has never seen is warm-started from the
-// cached artifact with the same graph fingerprint and the nearest device
-// count, without the client sending a seed.
-func TestSeedRelatedKeyLookup(t *testing.T) {
-	rec := &seedRecordingStrategist{}
-	svc := New(Config{Strategist: rec.strategist()})
+// TestSeedlessMissIsKeyDetermined pins key → artifact determinism: a miss
+// without a client seed runs cold even when the cache holds an answer for
+// the same graph on another cluster, so its artifact is exactly what a
+// direct core computation for the key produces.
+func TestSeedlessMissIsKeyDetermined(t *testing.T) {
+	svc := New(Config{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	g := tinyGraph(t)
-	// Cold search at 2 GPUs populates the cache; no seed exists yet.
-	resp, body := postCompute(t, srv.URL,
-		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":`+graphJSON(t, g)+`}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold compute: status = %d, body %s", resp.StatusCode, body)
+	spec, err := models.ByName("LeNet")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := rec.seedOf(t, 0); got != nil {
-		t.Errorf("first search saw seed %+v, want none", got)
+	m, err := spec.Build(spec.GlobalBatch / 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := resp.Header.Get(SeedHeader); got != "" {
-		t.Errorf("cold %s = %q, want absent", SeedHeader, got)
+	g, err := graph.BuildDataParallel(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	request := func(gpus int) string {
+		return fmt.Sprintf(`{"model":"LeNet","cluster":{"servers":1,"gpusPerServer":%d},"graph":%s}`,
+			gpus, graphJSON(t, g))
 	}
 
-	// Same graph, different shape: a miss, but the 2-GPU artifact seeds it.
-	resp, body = postCompute(t, srv.URL,
-		`{"cluster":{"servers":1,"gpusPerServer":3},"graph":`+graphJSON(t, g)+`}`)
+	// Cache a 2-GPU answer for the graph.
+	if resp, body := postCompute(t, srv.URL, request(2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("2-GPU compute: status = %d, body %s", resp.StatusCode, body)
+	}
+
+	// The same graph at 3 GPUs, no seed: a cold search.
+	resp, body := postCompute(t, srv.URL, request(3))
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("related compute: status = %d, body %s", resp.StatusCode, body)
+		t.Fatalf("3-GPU compute: status = %d, body %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get(SeedHeader); got != SeedUsed {
-		t.Errorf("related %s = %q, want %q", SeedHeader, got, SeedUsed)
+	if got := resp.Header.Get(SeedHeader); got != "" {
+		t.Errorf("seedless miss %s = %q, want absent", SeedHeader, got)
 	}
-	got := rec.seedOf(t, 1)
-	if got == nil {
-		t.Fatal("related-key search saw no seed")
+	var env computeResponse
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
 	}
-	if fp := strategy.Fingerprint(g); got.Fingerprint != fp {
-		t.Errorf("related seed fingerprint = %s, want %s", got.Fingerprint, fp)
+
+	shape := strategy.ClusterShape{Servers: 1, GPUsPerServer: 3}
+	cluster, err := device.NewCluster(shape.Servers, shape.GPUsPerServer)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := svc.Stats()
-	if st.Seeded != 1 || st.SeedWon != 0 {
-		t.Errorf("stats seeded/seedWon = %d/%d, want 1/0", st.Seeded, st.SeedWon)
+	st, err := core.ComputeStrategy(g, cluster, kernels.NewDefaultOracle(cluster), svc.cfg.Sched)
+	if err != nil {
+		t.Fatalf("direct: %v", err)
+	}
+	art := st.Artifact
+	art.Provenance = strategy.Provenance{Model: "LeNet", Origin: "fastt-serve", Cluster: shape}
+	direct, err := json.Marshal(&art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(env.Artifact, direct) {
+		t.Error("seedless miss artifact differs from a direct core computation for its key")
+	}
+	if st := svc.Stats(); st.Seeded != 0 {
+		t.Errorf("stats seeded = %d, want 0", st.Seeded)
 	}
 }

@@ -12,8 +12,9 @@
 // cluster shape × cost-model hash (strategy.CacheKey). Scheduling options
 // are deliberately not part of the key: the service computes every strategy
 // under one fixed option set chosen at startup, so equal keys imply equal
-// artifacts. (Warm-start seeding is the one best-effort exception — see
-// Request.Seed.) See DESIGN.md "Strategy service".
+// artifacts. (An explicit client seed is the one documented exception — see
+// Request.Seed.) The service never picks a seed itself; DESIGN.md §9 gives
+// the measurement behind that. See DESIGN.md "Strategy service".
 package serve
 
 import (
@@ -173,15 +174,15 @@ type Request struct {
 	// for the same base graph (core.Options.Seed): the search prunes against
 	// the seed's re-evaluated makespan and falls back to it when nothing
 	// beats it. A seed whose fingerprint does not match the request's graph
-	// is rejected up front as a bad request. When nil, the service looks for
-	// a related cached artifact itself — same fingerprint, different cluster
-	// shape or cost hash — so a client recomputing after an elastic resize
-	// gets the warm start for free.
+	// is rejected up front as a bad request. When nil, the search runs cold
+	// (the service does not look for a seed of its own), so the cache key
+	// alone determines the artifact.
 	//
-	// Seeding is best-effort and does not enter the cache key: in the rare
-	// case where the seed wins outright, the cached artifact can differ from
-	// what a cold search would have produced (it is never worse by predicted
-	// makespan for that search's estimator).
+	// A seed does not enter the cache key: in the rare case where it wins
+	// outright, the cached artifact can differ from what a cold search would
+	// have produced (it is never worse by predicted makespan for that
+	// search's estimator). This is the one exception to key → artifact
+	// determinism.
 	Seed *strategy.Artifact
 }
 
@@ -388,20 +389,10 @@ func (s *Service) search(ctx context.Context, key strategy.CacheKey, req *Reques
 		est = kernels.NewDefaultOracle(cluster)
 	}
 
-	// Warm-start the search: an explicit client seed wins; otherwise scan the
-	// cache for a related artifact — same graph fingerprint under a different
-	// cluster shape or cost model, the signature of an elastic resize or a
-	// cost-model refresh. Fingerprint mismatch on the explicit seed was
-	// rejected in Compute; the related pick is re-checked defensively here.
+	// Only an explicit client seed warm-starts the search (its fingerprint
+	// was checked in Compute); without one the search runs cold.
 	opts := s.cfg.Sched
-	if req.Seed != nil {
-		opts.Seed = req.Seed
-	} else if b := s.cache.related(key, key.Cluster.NumDevices()); b != nil {
-		var prior strategy.Artifact
-		if err := json.Unmarshal(b, &prior); err == nil && prior.Fingerprint == key.Fingerprint {
-			opts.Seed = &prior
-		}
-	}
+	opts.Seed = req.Seed
 
 	s.metrics.searches.Add(1)
 	start := time.Now()

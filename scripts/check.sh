@@ -3,7 +3,9 @@
 #
 #   tier 1: gofmt gate + build + full test suite + a 1-iteration bench
 #           smoke so the bench harness itself cannot silently rot between
-#           opt-in bench runs (no timing gate — it only has to run)
+#           opt-in bench runs (no timing gate — it only has to run) + vet
+#           and tests of the perfbench module, which builds against the
+#           internal packages and would otherwise break unnoticed
 #   tier 2: vet + race detector over the short suite (the parallel strategy
 #           calculator and the cost-model snapshots must hold under -race)
 #   smoke:  CLI strategy-artifact round trip — `fastt compute` writes an
@@ -62,6 +64,8 @@ if [ "$tier" = "1" ] || [ "$tier" = "all" ]; then
 	go test ./...
 	echo "== tier 1: bench smoke (BenchmarkDPOSThroughput, 1 iteration)"
 	go test -run '^$' -bench BenchmarkDPOSThroughput -benchtime 1x .
+	echo "== tier 1: perfbench module (go vet + go test)"
+	go -C perfbench vet . && go -C perfbench test .
 fi
 
 if [ "$tier" = "2" ] || [ "$tier" = "all" ]; then
