@@ -5,8 +5,16 @@
 package fastt
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +26,9 @@ import (
 	"fastt/internal/models"
 	"fastt/internal/optimal"
 	"fastt/internal/placement"
+	"fastt/internal/serve"
 	"fastt/internal/sim"
+	"fastt/internal/strategy"
 )
 
 // benchCfg trades a little repetition for runtime: the simulator is
@@ -513,4 +523,104 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(g.NumOps()), "ops-per-iteration")
+}
+
+// BenchmarkServeWarmHit measures the strategy service's warm path end to
+// end: fingerprint-only POSTs over a real loopback connection, answered
+// from the cache. Four keys (MLP, LeNet, AlexNet and VGG-19 at batch 8 on
+// 1×2) are warmed first; half the requests go to the hottest key, the rest
+// spread evenly. 8×GOMAXPROCS closed-loop clients keep queueing delay, not
+// service capacity, from dominating the tail on small machines. It reports
+// req/s and the p99 latency in ns; any response that is not a 200 cache hit
+// fails the run. scripts/bench.sh gates both (>= 10,000 req/s, p99 < 5 ms).
+func BenchmarkServeWarmHit(b *testing.B) {
+	svc := serve.New(serve.Config{Sched: core.Options{MaxSplitOps: 8, MaxSyncGroups: 8, Workers: 1}})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	const clientsPerProc = 8
+	clients := clientsPerProc * runtime.GOMAXPROCS(0)
+	transport := &http.Transport{MaxIdleConns: clients + 8, MaxIdleConnsPerHost: clients + 8}
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Transport: transport}
+	post := func(body []byte) (string, error) {
+		resp, err := client.Post(srv.URL+"/v1/compute", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return "", err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return "", fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return resp.Header.Get(serve.CacheHeader), nil
+	}
+
+	const shape = `{"servers":1,"gpusPerServer":2}`
+	var warm [][]byte
+	for _, name := range []string{"MLP", "LeNet", "AlexNet", "VGG-19"} {
+		spec, err := models.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := spec.Build(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := graph.BuildDataParallel(m, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var gbuf bytes.Buffer
+		if err := g.WriteJSON(&gbuf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := post(fmt.Appendf(nil, `{"model":%q,"cluster":%s,"graph":%s}`, name, shape, gbuf.Bytes())); err != nil {
+			b.Fatalf("warm %s: %v", name, err)
+		}
+		warm = append(warm, fmt.Appendf(nil, `{"cluster":%s,"graphFingerprint":%q}`, shape, strategy.Fingerprint(g)))
+	}
+
+	var (
+		mu     sync.Mutex
+		lat    []time.Duration
+		failed error
+		seed   atomic.Int64
+	)
+	b.SetParallelism(clientsPerProc)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		r := rand.New(rand.NewSource(seed.Add(1)))
+		var mine []time.Duration
+		var err error
+		for pb.Next() {
+			body := warm[0]
+			if r.Float64() >= 0.5 {
+				body = warm[1+r.Intn(len(warm)-1)]
+			}
+			t0 := time.Now()
+			src, perr := post(body)
+			mine = append(mine, time.Since(t0))
+			if perr == nil && src != string(serve.SourceHit) {
+				perr = fmt.Errorf("%s = %q, want hit", serve.CacheHeader, src)
+			}
+			if perr != nil && err == nil {
+				err = perr
+			}
+		}
+		mu.Lock()
+		lat = append(lat, mine...)
+		if err != nil && failed == nil {
+			failed = err
+		}
+		mu.Unlock()
+	})
+	b.StopTimer()
+	if failed != nil {
+		b.Fatal(failed)
+	}
+	slices.Sort(lat)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	b.ReportMetric(float64(lat[(len(lat)-1)*99/100]), "p99-ns")
 }

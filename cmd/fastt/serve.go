@@ -32,7 +32,6 @@ func runServe(argv []string) error {
 		maxSearches = fs.Int("max-searches", 0, "max concurrently running searches (0 = CPUs/workers)")
 		maxQueue    = fs.Int("max-queue", 64, "max searches queued for admission before 429")
 		searchTmo   = fs.Duration("search-timeout", 60*time.Second, "per-search wall-time cap")
-		searchDelay = fs.Duration("search-delay", 0, "injected latency per search (load-testing aid)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err
@@ -44,7 +43,6 @@ func runServe(argv []string) error {
 		MaxSearches:   *maxSearches,
 		MaxQueue:      *maxQueue,
 		SearchTimeout: *searchTmo,
-		SearchDelay:   *searchDelay,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -1,10 +1,10 @@
 // Package runtime defines the executor seam between FastT's training
 // workflow and the backends that actually run a placed graph. The session
 // drives everything through the Executor interface, so the discrete-event
-// simulator (internal/sim), the recording/replay executor in this package,
-// and future real backends are interchangeable: a backend receives the
-// materialized graph plus the strategy artifact to run it under, and
-// returns the per-iteration profile the cost models learn from.
+// simulator (internal/sim) and future real backends are interchangeable: a
+// backend receives the materialized graph plus the strategy artifact to run
+// it under, and returns the per-iteration profile the cost models learn
+// from.
 package runtime
 
 import (

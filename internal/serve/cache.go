@@ -19,7 +19,7 @@ type entry struct {
 // shard is one lock domain of the cache: an LRU list with a byte budget.
 // Entries are strategy artifacts — a few KB each — so per-shard state is a
 // plain mutex-guarded map + intrusive list; at 16 shards the lock is
-// uncontended even under loadgen's full concurrency.
+// uncontended even under BenchmarkServeWarmHit's full concurrency.
 type shard struct {
 	mu     sync.Mutex
 	budget int64

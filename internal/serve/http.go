@@ -147,6 +147,9 @@ func (s *Service) buildRequest(wire *computeRequest) (*Request, error) {
 	if shape.Servers < 1 || shape.GPUsPerServer < 1 {
 		return nil, badRequest("cluster must give servers >= 1 and gpusPerServer >= 1, got %+v", shape)
 	}
+	if err := checkShapeSize(shape); err != nil {
+		return nil, err
+	}
 	req := &Request{
 		Model:       wire.Model,
 		Fingerprint: wire.GraphFingerprint,

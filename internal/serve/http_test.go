@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"fastt/internal/graph"
@@ -160,12 +163,25 @@ func TestHTTPErrorMapping(t *testing.T) {
 		{"malformed graph", `{"cluster":{"servers":1,"gpusPerServer":2},"graph":"not a graph"}`, http.StatusBadRequest},
 		{"malformed seed", `{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ab","seed":"not an artifact"}`, http.StatusBadRequest},
 		{"malformed costs", `{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ab","costs":"not a model"}`, http.StatusBadRequest},
+		// Shapes over maxClusterDevices: 64×64 would build a 256 MiB link
+		// table for the costs, 2^40×2^40 overflows int when multiplied.
+		{"oversized shape", `{"cluster":{"servers":64,"gpusPerServer":64},"graphFingerprint":"x","costs":{}}`, http.StatusBadRequest},
+		{"overflowing shape", `{"cluster":{"servers":1099511627776,"gpusPerServer":1099511627776},"graphFingerprint":"x","costs":{}}`, http.StatusBadRequest},
+		{"one device over the cap", `{"cluster":{"servers":1,"gpusPerServer":1025},"graphFingerprint":"x","costs":{}}`, http.StatusBadRequest},
+		{"largest admitted shape", `{"cluster":{"servers":4,"gpusPerServer":256},"graphFingerprint":"x"}`, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			resp, body := postCompute(t, srv.URL, tc.body)
+			runtime.ReadMemStats(&after)
 			if resp.StatusCode != tc.status {
 				t.Errorf("status = %d, want %d (body %s)", resp.StatusCode, tc.status, body)
+			}
+			// No rejected request may allocate anything large on its way out.
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+				t.Errorf("request allocated %d bytes, want under 4 MiB", alloc)
 			}
 			var e map[string]string
 			if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
@@ -236,5 +252,77 @@ func TestHTTPBodyLimit(t *testing.T) {
 	}
 	if declared.read != 0 {
 		t.Errorf("declared length: handler read %d bytes, want 0", declared.read)
+	}
+}
+
+// TestHTTPHerdCoalesces is the herd through the handler: 64 concurrent
+// identical full-graph POSTs against a blocked search must share it. One
+// response leads the search (miss), the other 63 join it (coalesced), every
+// body is byte-identical, and /v1/stats counts the 63 joins.
+func TestHTTPHerdCoalesces(t *testing.T) {
+	const herd = 64
+	gate := make(chan struct{})
+	svc := New(Config{Strategist: stubStrategist(gate), MaxQueue: herd + 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	// Runs before srv.Close on a failed wait, which would otherwise block on
+	// the herd's open requests.
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	body := `{"cluster":{"servers":1,"gpusPerServer":2},"graph":` + graphJSON(t, tinyGraph(t)) + `}`
+
+	sources := make([]string, herd)
+	bodies := make([][]byte, herd)
+	errs := make([]error, herd)
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/compute", "application/json", strings.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+			if errs[i] == nil && resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, bodies[i])
+			}
+			sources[i] = resp.Header.Get(CacheHeader)
+		}(i)
+	}
+	waitFor(t, "herd to assemble", func() bool { return svc.Stats().Cache.Misses == herd })
+	if got := svc.Stats().Searches; got != 1 {
+		t.Fatalf("searches while herd blocked = %d, want exactly 1", got)
+	}
+	release()
+	wg.Wait()
+
+	count := map[string]int{}
+	for i := 0; i < herd; i++ {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("request %d body differs from request 0's", i)
+		}
+		count[sources[i]]++
+	}
+	if count["miss"] != 1 || count["coalesced"] != herd-1 || len(count) != 2 {
+		t.Errorf("%s headers = %v, want 1 miss and %d coalesced", CacheHeader, count, herd-1)
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode stats: %v", err)
+	}
+	if st.Coalesced != herd-1 || st.Searches != 1 {
+		t.Errorf("stats coalesced = %d, searches = %d; want %d and 1", st.Coalesced, st.Searches, herd-1)
 	}
 }

@@ -29,7 +29,7 @@ var latencyBounds = [numLatencyBounds]time.Duration{
 }
 
 // metrics is the service's single source of truth for observability: every
-// counter the HTTP stats endpoint, the tests, and loadgen consume lives
+// counter the HTTP stats endpoint and the tests consume lives
 // here, updated with atomics on the hot path (no locks, no allocation).
 type metrics struct {
 	hits      atomic.Int64 // requests answered from the cache

@@ -55,6 +55,24 @@ func badRequest(format string, args ...any) error {
 	return &BadRequestError{Msg: fmt.Sprintf(format, args...)}
 }
 
+// maxClusterDevices caps the devices of a cluster the service builds from a
+// shape alone. device.NewCluster allocates a link table quadratic in the
+// device count, so an unbounded shape lets an 80-byte request allocate
+// hundreds of MiB. 1024 devices is 128× the largest cluster any test,
+// example or benchmark uses; its link table takes 16 MiB.
+const maxClusterDevices = 1024
+
+// checkShapeSize rejects a regular shape of more than maxClusterDevices
+// devices. It divides instead of multiplying, so no shape can overflow
+// the check.
+func checkShapeSize(shape strategy.ClusterShape) error {
+	if shape.Servers > maxClusterDevices || shape.GPUsPerServer > maxClusterDevices/max(shape.Servers, 1) {
+		return badRequest("cluster shape %d×%d exceeds the %d-device cap",
+			shape.Servers, shape.GPUsPerServer, maxClusterDevices)
+	}
+	return nil
+}
+
 // Config tunes the service. The zero value is usable: every field has a
 // production default.
 type Config struct {
@@ -80,12 +98,6 @@ type Config struct {
 	// SearchTimeout caps one search's wall time (a request may additionally
 	// carry its own, tighter deadline). Default 60s; negative disables.
 	SearchTimeout time.Duration
-	// SearchDelay injects extra latency at the start of every search while
-	// it holds its admission slot. A load-testing aid: it widens the window
-	// in which concurrent identical requests coalesce and lets harnesses
-	// exercise queueing and 429s without giant graphs. Zero (the default)
-	// disables it.
-	SearchDelay time.Duration
 	// Strategist computes strategies; nil means core.ComputeStrategyCtx.
 	// Tests substitute stubs to make coalescing and admission observable.
 	Strategist core.Strategist
@@ -148,8 +160,8 @@ func New(cfg Config) *Service {
 // tests) fills Graph/Cluster/Est directly; the HTTP handler builds it from
 // the wire encoding. Fingerprint, Shape and CostHash may be provided
 // explicitly — a fingerprint-carrying request whose artifact is cached is
-// answered without touching the graph at all, the warm fast path loadgen
-// measures.
+// answered without touching the graph at all, the warm fast path
+// BenchmarkServeWarmHit measures.
 type Request struct {
 	// Model optionally names the catalog model, for provenance only.
 	Model string
@@ -360,15 +372,6 @@ func (s *Service) search(ctx context.Context, key strategy.CacheKey, req *Reques
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SearchTimeout)
 		defer cancel()
 	}
-	if s.cfg.SearchDelay > 0 {
-		t := time.NewTimer(s.cfg.SearchDelay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, "", ctx.Err()
-		}
-	}
 
 	cluster := req.Cluster
 	if cluster == nil {
@@ -378,6 +381,9 @@ func (s *Service) search(ctx context.Context, key strategy.CacheKey, req *Reques
 			// materialize itself; irregular or classed mixes carry topology
 			// the shape encoding alone cannot reconstruct.
 			return nil, "", badRequest("irregular or classed cluster shape %+v needs an explicit cluster", shape)
+		}
+		if err := checkShapeSize(shape); err != nil {
+			return nil, "", err
 		}
 		var err error
 		if cluster, err = device.NewCluster(shape.Servers, shape.GPUsPerServer); err != nil {

@@ -413,4 +413,10 @@ func TestBadRequests(t *testing.T) {
 	if _, err := svc.Compute(context.Background(), &Request{Graph: tinyGraph(t)}); !errors.As(err, &br) {
 		t.Errorf("clusterless request err = %v, want BadRequestError", err)
 	}
+	// A graph miss builds its cluster from the shape; over maxClusterDevices
+	// it must not.
+	huge := strategy.ClusterShape{Servers: 64, GPUsPerServer: 64}
+	if _, err := svc.Compute(context.Background(), &Request{Graph: tinyGraph(t), Shape: huge}); !errors.As(err, &br) {
+		t.Errorf("64×64 shape err = %v, want BadRequestError", err)
+	}
 }

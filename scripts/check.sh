@@ -2,8 +2,8 @@
 # check.sh — the repo's verification tiers (see ROADMAP.md).
 #
 #   tier 1: gofmt gate + build + full test suite + a 1-iteration bench
-#           smoke so the bench harness itself cannot silently rot between
-#           opt-in bench runs (no timing gate — it only has to run) + vet
+#           smoke (DPOSThroughput and ServeWarmHit) so the bench harness
+#           itself cannot silently rot between opt-in bench runs (no timing gate — it only has to run) + vet
 #           and tests of the perfbench module, which builds against the
 #           internal packages and would otherwise break unnoticed
 #   tier 2: vet + race detector over the short suite (the parallel strategy
@@ -13,11 +13,12 @@
 #           canonical artifact-exec lines must match byte for byte — plus the
 #           elastic loop: examples/elastic must lose a device, accept a
 #           joiner, recompute, and resume
-#   serve:  strategy-service round trip — start `fastt serve` on an
-#           ephemeral port, run the loadgen smoke (cold compute, warm
-#           byte-identical hit, 64-way coalesced herd) and a short loadgen
-#           bench sanity pass (no timing gate — the perf gate lives in
-#           scripts/bench.sh)
+#   serve:  strategy-service daemon smoke — start `fastt serve` on an
+#           ephemeral port, expect `ok` from /healthz and 404 for an uncached
+#           fingerprint-only POST, then SIGTERM it: it must print "shutting
+#           down" and exit 0. (Cold/warm byte identity and the coalesced
+#           herd are internal/serve tests; the warm-path floor is
+#           BenchmarkServeWarmHit, gated by scripts/bench.sh.)
 #   fuzz:   10s fuzz smoke per decoder (strategy/graph/cost/cluster-spec
 #           JSON) on top of replaying the committed corpora under
 #           testdata/fuzz/
@@ -62,8 +63,8 @@ if [ "$tier" = "1" ] || [ "$tier" = "all" ]; then
 	fi
 	go build ./...
 	go test ./...
-	echo "== tier 1: bench smoke (BenchmarkDPOSThroughput, 1 iteration)"
-	go test -run '^$' -bench BenchmarkDPOSThroughput -benchtime 1x .
+	echo "== tier 1: bench smoke (BenchmarkDPOSThroughput, BenchmarkServeWarmHit; 1 iteration)"
+	go test -run '^$' -bench 'BenchmarkDPOSThroughput|BenchmarkServeWarmHit' -benchtime 1x .
 	echo "== tier 1: perfbench module (go vet + go test)"
 	go -C perfbench vet . && go -C perfbench test .
 fi
@@ -119,15 +120,11 @@ if [ "$tier" = "smoke" ] || [ "$tier" = "all" ]; then
 fi
 
 if [ "$tier" = "serve" ] || [ "$tier" = "all" ]; then
-	echo "== serve: fastt serve + loadgen smoke and bench sanity"
+	echo "== serve: fastt serve daemon smoke (healthz, uncached 404, SIGTERM)"
 	stmp="$(mktemp -d)"
 	CLEAN_DIRS="$CLEAN_DIRS $stmp"
 	go build -o "$stmp/fastt" ./cmd/fastt
-	go build -o "$stmp/loadgen" ./cmd/loadgen
-	# -search-delay widens the coalescing window so the loadgen herd can
-	# observe in-flight joins from outside the process (see cmd/loadgen).
-	"$stmp/fastt" serve -addr 127.0.0.1:0 -search-delay 100ms \
-		>"$stmp/serve.log" 2>&1 &
+	"$stmp/fastt" serve -addr 127.0.0.1:0 >"$stmp/serve.log" 2>&1 &
 	SERVE_PID=$!
 	addr=""
 	for _ in $(seq 1 50); do
@@ -140,11 +137,30 @@ if [ "$tier" = "serve" ] || [ "$tier" = "all" ]; then
 		cat "$stmp/serve.log" >&2
 		exit 1
 	fi
-	"$stmp/loadgen" -addr "http://$addr" -mode smoke
-	"$stmp/loadgen" -addr "http://$addr" -mode bench -duration 1s
-	kill "$SERVE_PID"
-	wait "$SERVE_PID" 2>/dev/null || true
+	health="$(curl -fsS "http://$addr/healthz")"
+	if [ "$health" != "ok" ]; then
+		echo "/healthz answered \"$health\", want ok" >&2
+		exit 1
+	fi
+	status="$(curl -sS -o "$stmp/miss.json" -w '%{http_code}' \
+		-H 'Content-Type: application/json' \
+		-d '{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff"}' \
+		"http://$addr/v1/compute")"
+	if [ "$status" != 404 ]; then
+		echo "uncached fingerprint-only POST answered $status, want 404:" >&2
+		cat "$stmp/miss.json" >&2
+		exit 1
+	fi
+	kill -TERM "$SERVE_PID"
+	code=0
+	wait "$SERVE_PID" || code=$?
 	SERVE_PID=""
+	if [ "$code" -ne 0 ] || ! grep -q '^fastt serve: shutting down$' "$stmp/serve.log"; then
+		echo "fastt serve did not shut down cleanly on SIGTERM (exit $code):" >&2
+		cat "$stmp/serve.log" >&2
+		exit 1
+	fi
+	echo "serve smoke ok ($addr)"
 fi
 
 if [ "$tier" = "fuzz" ] || [ "$tier" = "all" ]; then
