@@ -6,6 +6,7 @@ package fastt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/rand"
@@ -429,7 +430,7 @@ func BenchmarkOSDPOSParallel(b *testing.B) {
 //   - recompute/*: the same 8-GPU cluster — the cost-drift and
 //     bootstrap-round path. The seed wins (nothing beats its exact
 //     makespan), the walk stops after one round, and the speedup is large;
-//     bench.sh gates best(cold)/best(seeded) at >= 1.5x.
+//     bench.sh gates median(cold)/median(seeded) at >= 1.5x.
 //   - shrink/*: 7 survivors after a device failure — the fault-recovery
 //     path. Here a 7-GPU candidate beats the re-evaluated 8-GPU seed in
 //     round one, so the seeded walk is byte-identical to the cold one from
@@ -494,6 +495,30 @@ func BenchmarkWarmstartRecompute(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkGraphWriteJSON measures the un-memoised cost of
+// strategy.Fingerprint: the ResNet200@8 training graph (the catalog's
+// largest, 8 replicas at the strong-scaling batch of 4) written into a
+// fresh SHA-256 hash. graph.Digest pays this once per graph; every later
+// fingerprint of the same graph is a memo hit.
+func BenchmarkGraphWriteJSON(b *testing.B) {
+	m, err := models.ResNet200(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := graph.BuildDataParallel(m, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.WriteJSON(sha256.New()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.NumOps()), "ops-per-graph")
 }
 
 // BenchmarkSimulatorThroughput measures the discrete-event engine on the

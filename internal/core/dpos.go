@@ -94,11 +94,6 @@ type Options struct {
 	// opt-in: the bound never influences the search, and on catalog-size
 	// graphs it adds one relaxation-DP pass over the final graph.
 	ComputeBound bool
-
-	// fingerprint carries strategy.Fingerprint(g) when a caller inside this
-	// package already computed it, so the seed validation in OSDPOSCtx does
-	// not hash the graph a second time. Empty means "compute on demand".
-	fingerprint string
 }
 
 func (o Options) memory() graph.MemoryModel {

@@ -599,11 +599,7 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 // returns nils and the search runs cold.
 func evalSeed(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*graph.Graph, *Schedule, error) {
 	seed := opts.Seed
-	fp := opts.fingerprint
-	if fp == "" {
-		fp = strategy.Fingerprint(g)
-	}
-	if seed.Fingerprint != fp {
+	if fp := strategy.Fingerprint(g); seed.Fingerprint != fp {
 		return nil, nil, fmt.Errorf("seed strategy: %w: seed %s, graph %s",
 			strategy.ErrFingerprint, seed.Fingerprint, fp)
 	}

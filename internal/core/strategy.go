@@ -84,10 +84,6 @@ func ComputeStrategyCtx(ctx context.Context, g *graph.Graph, cluster *device.Clu
 	// passes and every concurrent candidate worker read a consistent,
 	// lock-free view even while the profiler keeps observing.
 	est = cost.ReadSnapshot(est)
-	// The graph fingerprint names the artifact and validates any seed; hash
-	// once here and share it with the search (and the class-restricted
-	// populations) instead of re-hashing per pass.
-	opts.fingerprint = strategy.Fingerprint(g)
 	// Caller pins carry full-cluster device IDs, which a renumbered
 	// class-restricted subcluster cannot honor — so their presence disables
 	// the restriction candidates (see subcluster.go).
@@ -109,7 +105,7 @@ func ComputeStrategyCtx(ctx context.Context, g *graph.Graph, cluster *device.Clu
 	full := &Strategy{
 		Artifact: strategy.Artifact{
 			SchemaVersion: strategy.SchemaVersion,
-			Fingerprint:   opts.fingerprint,
+			Fingerprint:   strategy.Fingerprint(g),
 			Placement:     res.Schedule.Placement,
 			Order:         res.Schedule.Order,
 			Splits:        res.Splits,

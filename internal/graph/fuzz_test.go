@@ -8,7 +8,7 @@ import (
 // FuzzReadJSON asserts the graph decoder's contract on arbitrary bytes: it
 // never panics, everything it accepts is a valid DAG, and accepted graphs
 // serialize canonically — the written form re-reads and re-writes
-// byte-identically.
+// byte-identically, and matches the encoding/json oracle byte for byte.
 func FuzzReadJSON(f *testing.F) {
 	f.Add([]byte(`{"ops":[{"name":"x","kind":"Input","outputBytes":4},` +
 		`{"name":"w","kind":"Variable","paramBytes":8},` +
@@ -31,6 +31,7 @@ func FuzzReadJSON(f *testing.F) {
 		if err := g.WriteJSON(&first); err != nil {
 			t.Fatalf("accepted graph does not serialize: %v", err)
 		}
+		assertMatchesOracle(t, g)
 		h, err := ReadJSON(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("own output rejected: %v\n%s", err, first.Bytes())

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Sentinel errors callers may match with errors.Is.
@@ -31,6 +32,13 @@ type Edge struct {
 // Graph is a DNN computation DAG. Ops are identified by dense integer IDs
 // (their index), which placement strategies and the simulator use to index
 // flat slices.
+//
+// Digest memoises the graph's hash on the structural version, which only
+// AddOp and Connect advance. So once a graph has been digested (directly,
+// or through strategy.Fingerprint by any artifact, search or cache key
+// built on it), the fields of its ops are frozen: an in-place write to an
+// *Op would leave the memo stale. Build a graph completely before hashing
+// it, or Clone it and edit the copy.
 type Graph struct {
 	ops    []*Op
 	edges  []Edge
@@ -42,6 +50,8 @@ type Graph struct {
 	// their caches on (pointer, Version) and treat a version mismatch as
 	// staleness.
 	version uint64
+	// digest memoises Digest for one version. Clone starts without it.
+	digest atomic.Pointer[graphDigest]
 }
 
 // New returns an empty graph.

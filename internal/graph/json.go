@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // jsonOp is the serialized form of an Op.
@@ -48,39 +50,149 @@ var _kindByName = func() map[string]OpKind {
 
 // WriteJSON serializes the graph as a stable, name-referenced JSON document
 // suitable for storing model definitions or exchanging graphs with other
-// tools.
+// tools. The bytes are exactly what encoding/json's Encoder with a
+// two-space indent writes for jsonGraph (omitempty fields, HTML-escaped
+// strings, trailing newline) — Digest hashes them, so they must never
+// change — but the document is appended field by field into one small
+// buffer that is flushed as it fills, so writing a graph of any size
+// allocates O(1).
 func (g *Graph) WriteJSON(w io.Writer) error {
-	doc := jsonGraph{
-		Ops:   make([]jsonOp, 0, len(g.ops)),
-		Edges: make([]jsonEdge, 0, len(g.edges)),
+	e := jsonWriter{w: w, buf: make([]byte, 0, jsonFlushAt+1024)}
+	e.raw("{\n  \"ops\": [")
+	for i, op := range g.ops {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.raw("\n    {\n      \"name\": ")
+		e.str(op.Name)
+		e.raw(",\n      \"kind\": ")
+		e.str(op.Kind.String())
+		e.optInt("flops", op.FLOPs)
+		e.optInt("paramBytes", op.ParamBytes)
+		e.optInt("outputBytes", op.OutputBytes)
+		e.optInt("workspaceBytes", op.WorkspaceBytes)
+		e.optInt("batch", int64(op.Batch))
+		e.optInt("channels", int64(op.Channels))
+		e.optInt("replica", int64(op.Replica))
+		e.optStr("splitOf", op.SplitOf)
+		e.optInt("splitN", int64(op.SplitN))
+		e.optStr("gradFor", op.GradFor)
+		e.optStr("colocateWith", op.ColocateWith)
+		e.raw("\n    }")
 	}
-	for _, op := range g.ops {
-		doc.Ops = append(doc.Ops, jsonOp{
-			Name:           op.Name,
-			Kind:           op.Kind.String(),
-			FLOPs:          op.FLOPs,
-			ParamBytes:     op.ParamBytes,
-			OutputBytes:    op.OutputBytes,
-			WorkspaceBytes: op.WorkspaceBytes,
-			Batch:          op.Batch,
-			Channels:       op.Channels,
-			Replica:        op.Replica,
-			SplitOf:        op.SplitOf,
-			SplitN:         op.SplitN,
-			GradFor:        op.GradFor,
-			ColocateWith:   op.ColocateWith,
-		})
+	if len(g.ops) > 0 {
+		e.raw("\n  ")
 	}
-	for _, e := range g.edges {
-		doc.Edges = append(doc.Edges, jsonEdge{
-			From:  g.ops[e.From].Name,
-			To:    g.ops[e.To].Name,
-			Bytes: e.Bytes,
-		})
+	e.raw("],\n  \"edges\": [")
+	for i, ed := range g.edges {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.raw("\n    {\n      \"from\": ")
+		e.str(g.ops[ed.From].Name)
+		e.raw(",\n      \"to\": ")
+		e.str(g.ops[ed.To].Name)
+		e.raw(",\n      \"bytes\": ")
+		e.buf = strconv.AppendInt(e.buf, ed.Bytes, 10)
+		e.raw("\n    }")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	if len(g.edges) > 0 {
+		e.raw("\n  ")
+	}
+	e.raw("]\n}\n")
+	return e.flush()
+}
+
+// graphDigest is a memoised Digest and the graph version it was taken at.
+type graphDigest struct {
+	version uint64
+	sum     [sha256.Size]byte
+}
+
+// Digest returns the SHA-256 of the graph's WriteJSON document, the basis of
+// strategy.Fingerprint. It is computed once per structural version and
+// memoised on the graph, so every artifact, seed check and cache key built
+// on the same graph shares one hash. Concurrent calls are safe as long as
+// nothing mutates the graph; ops must not be edited in place after the
+// first call (see Graph).
+func (g *Graph) Digest() [sha256.Size]byte {
+	if d := g.digest.Load(); d != nil && d.version == g.version {
+		return d.sum
+	}
+	d := &graphDigest{version: g.version}
+	h := sha256.New()
+	_ = g.WriteJSON(h) // a hash.Hash never fails a write
+	h.Sum(d.sum[:0])
+	g.digest.Store(d)
+	return d.sum
+}
+
+// jsonFlushAt is the buffered size past which jsonWriter hands its bytes to
+// the underlying writer.
+const jsonFlushAt = 16 << 10
+
+// jsonWriter appends WriteJSON's document into buf and flushes it to w in
+// jsonFlushAt-sized chunks. The first write error sticks and ends output.
+type jsonWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (e *jsonWriter) raw(s string) {
+	e.buf = append(e.buf, s...)
+	if len(e.buf) >= jsonFlushAt {
+		e.flush()
+	}
+}
+
+func (e *jsonWriter) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
+}
+
+// str appends s as a JSON string literal. Printable ASCII other than the
+// characters encoding/json escapes is copied as is; anything else — quotes,
+// backslashes, <>&, control bytes, non-ASCII — is rare in op names and is
+// delegated to json.Marshal so the escaping rules stay encoding/json's.
+func (e *jsonWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			e.buf = append(e.buf, q...)
+			return
+		}
+	}
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, s...)
+	e.buf = append(e.buf, '"')
+}
+
+// optInt appends an omitempty integer field.
+func (e *jsonWriter) optInt(key string, v int64) {
+	if v == 0 {
+		return
+	}
+	e.key(key)
+	e.buf = strconv.AppendInt(e.buf, v, 10)
+}
+
+// optStr appends an omitempty string field.
+func (e *jsonWriter) optStr(key, v string) {
+	if v == "" {
+		return
+	}
+	e.key(key)
+	e.str(v)
+}
+
+func (e *jsonWriter) key(key string) {
+	e.buf = append(e.buf, ",\n      \""...)
+	e.buf = append(e.buf, key...)
+	e.buf = append(e.buf, "\": "...)
 }
 
 // ReadJSON parses a graph previously produced by WriteJSON (or authored by

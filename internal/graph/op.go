@@ -137,6 +137,10 @@ func splittableDims(k OpKind) []SplitDim {
 // ParamBytes, OutputBytes) are what the kernel model and cost models
 // consume; the structural fields (Replica, SplitOf, SplitN) record how the
 // op was derived from the original model graph.
+//
+// An op's fields are frozen once its graph is first digested (see Graph):
+// the digest is memoised on the graph's structural version, which field
+// writes do not advance.
 type Op struct {
 	// ID is the op's index in its graph. Assigned by Graph.AddOp.
 	ID int

@@ -189,6 +189,8 @@ func (b *builder) finish(lossInput int) (*graph.Graph, error) {
 			return nil, b.err
 		}
 		if f.ParamBytes > 0 {
+			// An in-place op write is safe only before the graph is first
+			// digested (see graph.Graph); this one runs during construction.
 			b.g.Op(gid).GradFor = f.Name
 		}
 		// Retain the forward activation until the backward op consumes it.

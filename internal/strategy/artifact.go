@@ -167,13 +167,12 @@ func New(base *graph.Graph, placement, order []int, splits []graph.SplitDecision
 
 // Fingerprint returns a stable hex digest of the graph's structure: ops
 // (with all scheduling-relevant attributes) and edges. Two graphs with the
-// same fingerprint are interchangeable as strategy targets.
+// same fingerprint are interchangeable as strategy targets. It is the first
+// 16 bytes of graph.Digest, which is memoised on the graph, so repeated
+// calls on one unchanged graph hash it once.
 func Fingerprint(g *graph.Graph) string {
-	h := sha256.New()
-	// WriteJSON is deterministic (ID-ordered ops, insertion-ordered edges)
-	// and never fails on a hash.Hash writer.
-	_ = g.WriteJSON(h)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sum := g.Digest()
+	return hex.EncodeToString(sum[:16])
 }
 
 // HashJSON digests the output of a serializer — used to fingerprint the

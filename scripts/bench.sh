@@ -5,8 +5,10 @@
 # passes over it:
 #
 #   times:  BenchmarkOSDPOSParallel, BenchmarkDPOSThroughput and
-#           BenchmarkWarmstartRecompute, -count 5, one iteration each; the
-#           best (minimum) ns/op per benchmark is kept.
+#           BenchmarkWarmstartRecompute, -count 10, one iteration each; the
+#           median ns/op per benchmark is kept. (A minimum of 5 spread
+#           3.49–5.59 ms for DPOSThroughput across runs on a shared 2-CPU
+#           host, wider than the 10% bounds of gates 1 and 3.)
 #   allocs: the benchmarks that carry alloc baselines — the workers=1
 #           OS-DPOS searches and DPOSThroughput — at -cpu 1 -count 10; the
 #           median B/op and allocs/op are kept. At GOMAXPROCS > 1 these
@@ -100,17 +102,17 @@ pass() {
 }
 
 pass times -test.bench 'BenchmarkOSDPOSParallel|BenchmarkDPOSThroughput|BenchmarkWarmstartRecompute' \
-	-test.count 5 -test.benchtime 1x
+	-test.count 10 -test.benchtime 1x
 # A -bench pattern splits on top-level "|" first, then on "/" per name level.
 pass allocs -test.bench 'BenchmarkOSDPOSParallel/./workers=1$|BenchmarkDPOSThroughput$' \
 	-test.cpu 1 -test.count 10 -test.benchtime 1x -test.benchmem
 servefail=0
 pass serve -test.bench 'BenchmarkServeWarmHit$' -test.count 5 -test.benchtime 3s || servefail=1
 
-# Reduce the three passes to one flat JSON object: minimum ns/op from the
-# times pass, median B/op and allocs/op from the allocs pass, median req/s
-# and p99-ns from the serve pass. Non-time metrics are keyed
-# "<benchmark>:<unit>" so the flat-key gates below stay trivial.
+# Reduce the three passes to one flat JSON object of medians: ns/op from
+# the times pass, B/op and allocs/op from the allocs pass, req/s and p99-ns
+# from the serve pass. Non-time metrics are keyed "<benchmark>:<unit>" so
+# the flat-key gates below stay trivial.
 awk -v k1="$KEY" -v k8="$KEY8" -v wc="$KEYWC" -v ws="$KEYWS" \
 	-v sc="$KEYSC" -v ss="$KEYSS" -v ncpu="$NCPU" '
 FNR == 1 { src = FILENAME; sub(/.*\//, "", src); sub(/\.raw$/, "", src) }
@@ -120,13 +122,14 @@ FNR == 1 { src = FILENAME; sub(/.*\//, "", src); sub(/\.raw$/, "", src) }
 	for (i = 3; i < NF; i += 2) {
 		unit = $(i + 1)
 		v = $i + 0
+		key = ""
 		if (src == "times" && unit == "ns/op") {
-			if (!(name in best) || v < best[name]) best[name] = v
+			key = name
 		} else if ((src == "allocs" && (unit == "B/op" || unit == "allocs/op")) ||
 			(src == "serve" && (unit == "req/s" || unit == "p99-ns"))) {
 			key = name ":" unit
-			vals[key, ++cnt[key]] = v
 		}
+		if (key != "") vals[key, ++cnt[key]] = v
 	}
 }
 END {
