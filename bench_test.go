@@ -521,6 +521,32 @@ func BenchmarkGraphWriteJSON(b *testing.B) {
 	b.ReportMetric(float64(g.NumOps()), "ops-per-graph")
 }
 
+// BenchmarkGraphReadJSON measures graph.ReadJSON, the decode that opens
+// every serve miss carrying a graph: ResNet200@8's WriteJSON document (the
+// catalog's largest graph) parsed, rebuilt and validated.
+func BenchmarkGraphReadJSON(b *testing.B) {
+	m, err := models.ResNet200(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := graph.BuildDataParallel(m, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := g.WriteJSON(&doc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(doc.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.ReadJSON(bytes.NewReader(doc.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulatorThroughput measures the discrete-event engine on the
 // same workload, reporting simulated ops per wall second.
 func BenchmarkSimulatorThroughput(b *testing.B) {

@@ -2,15 +2,26 @@ package cost
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"fastt/internal/device"
 )
 
+// decodeModelOracle is the encoding/json decoder decodeModel replaced, and
+// the reference for its accept set and decoded documents.
+func decodeModelOracle(data []byte) (jsonModel, error) {
+	var doc jsonModel
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc)
+	return doc, err
+}
+
 // FuzzModelReadJSON asserts the cost-model loader's contract on arbitrary
-// bytes: it never panics, and any document it accepts merges into a state
-// that serializes canonically — writing, re-reading into a fresh model, and
-// writing again produces identical bytes.
+// bytes: it never panics, it accepts exactly the documents the
+// encoding/json oracle accepts and decodes them to the same document, and
+// any snapshot it merges serializes canonically — writing, re-reading into a
+// fresh model, and writing again produces identical bytes.
 func FuzzModelReadJSON(f *testing.F) {
 	f.Add([]byte(`{"comp":[{"name":"conv1","dev":0,"n":3,"mean":1500000,"m2":12.5}],` +
 		`"comm":[{"from":0,"to":1,"n":2,"sumX":1024,"sumY":9,"sumXX":524800,` +
@@ -18,8 +29,21 @@ func FuzzModelReadJSON(f *testing.F) {
 	f.Add([]byte(`{"comp":[],"comm":[]}`))
 	f.Add([]byte(`{"comp":[{"name":"x","dev":0,"n":-1}]}`))
 	f.Add([]byte(`{"comm":[{"from":9,"to":0}]}`))
+	f.Add([]byte(`{"comm":[{"from":0,"to":1,"n":-5}]}`))
 	f.Add([]byte(`{"unknown":true}`))
+	f.Add([]byte(`{"unknown":[1,{"a":null}],"COMP":[{"Name":"x","N":1,"mean":1e308,"extra":"\ud800"}]} trailing`))
+	f.Add([]byte(`{"comp":[{"name":"x","n":1.5}]}`))
+	f.Add([]byte(`{"comp":[{"name":"x","n":1,"mean":1e400}]}`))
+	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, err := decodeModel(data)
+		want, werr := decodeModelOracle(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decodeModel error %v, oracle error %v, on %q", err, werr, data)
+		}
+		if err == nil && !reflect.DeepEqual(doc, want) {
+			t.Fatalf("decodeModel and the oracle disagree on %q:\n got %#v\nwant %#v", data, doc, want)
+		}
 		cluster, err := device.SingleServer(4)
 		if err != nil {
 			t.Fatalf("SingleServer: %v", err)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"fastt/internal/jsonread"
 )
 
 // Persistence: FastT's cost models are expensive to bootstrap (several
@@ -83,20 +85,105 @@ func (m *Model) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
+var (
+	modelFields = []string{"comp", "comm"}
+	compFields  = []string{"name", "dev", "n", "mean", "m2"}
+	commFields  = []string{"from", "to", "n", "sumX", "sumY", "sumXX", "sumXY", "minX", "maxX"}
+)
+
+// decodeModel reads a jsonModel document from the first JSON value in data,
+// accepting and decoding exactly what encoding/json's Decoder does (see
+// package jsonread). Unknown fields are skipped.
+func decodeModel(data []byte) (jsonModel, error) {
+	var doc jsonModel
+	r := jsonread.New(data)
+	r.Object(func(key []byte) {
+		switch jsonread.Field(key, modelFields) {
+		case "comp":
+			jsonread.Slice(r, &doc.Comp, func(e *jsonCompEntry) {
+				r.Object(func(key []byte) {
+					switch jsonread.Field(key, compFields) {
+					case "name":
+						r.String(&e.Name)
+					case "dev":
+						r.Int(&e.Dev)
+					case "n":
+						r.Int64(&e.N)
+					case "mean":
+						r.Float64(&e.Mean)
+					case "m2":
+						r.Float64(&e.M2)
+					default:
+						r.Skip()
+					}
+				})
+			})
+		case "comm":
+			jsonread.Slice(r, &doc.Comm, func(e *jsonCommEntry) {
+				r.Object(func(key []byte) {
+					switch jsonread.Field(key, commFields) {
+					case "from":
+						r.Int(&e.From)
+					case "to":
+						r.Int(&e.To)
+					case "n":
+						r.Int64(&e.N)
+					case "sumX":
+						r.Float64(&e.SumX)
+					case "sumY":
+						r.Float64(&e.SumY)
+					case "sumXX":
+						r.Float64(&e.SumXX)
+					case "sumXY":
+						r.Float64(&e.SumXY)
+					case "minX":
+						r.Float64(&e.MinX)
+					case "maxX":
+						r.Float64(&e.MaxX)
+					default:
+						r.Skip()
+					}
+				})
+			})
+		default:
+			r.Skip()
+		}
+	})
+	return doc, r.Err()
+}
+
 // ReadJSON merges previously saved statistics into the model. Existing
 // entries are combined with the loaded ones using the parallel-variance
-// (Chan et al.) merge, so loading is safe on a non-empty model.
+// (Chan et al.) merge, so loading is safe on a non-empty model. The whole
+// document is checked before anything merges: a rejected snapshot leaves
+// the model as it was. ReadJSON reads r to EOF but decodes only the first
+// JSON value, ignoring whatever follows it.
 func (m *Model) ReadJSON(r io.Reader) error {
-	var doc jsonModel
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	data, err := jsonread.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("read cost models: %w", err)
+	}
+	doc, err := decodeModel(data)
+	if err != nil {
 		return fmt.Errorf("decode cost models: %w", err)
 	}
-	m.Comp.mu.Lock()
 	for _, e := range doc.Comp {
 		if e.N < 0 {
-			m.Comp.mu.Unlock()
 			return fmt.Errorf("cost entry %q: negative count", e.Name)
 		}
+	}
+	devices := m.Link.cluster.NumDevices()
+	for _, e := range doc.Comm {
+		if e.N < 0 {
+			return fmt.Errorf("comm entry %d->%d: negative count", e.From, e.To)
+		}
+		if e.From < 0 || e.To < 0 || e.From >= devices || e.To >= devices {
+			return fmt.Errorf("comm entry %d->%d: outside cluster", e.From, e.To)
+		}
+	}
+
+	m.Comp.mu.Lock()
+	for _, e := range doc.Comp {
 		k := compKey{name: e.Name, dev: e.Dev}
 		cur, ok := m.Comp.stats[k]
 		if !ok {
@@ -124,11 +211,6 @@ func (m *Model) ReadJSON(r io.Reader) error {
 
 	m.Link.mu.Lock()
 	for _, e := range doc.Comm {
-		if e.From < 0 || e.To < 0 || e.From >= m.Link.cluster.NumDevices() ||
-			e.To >= m.Link.cluster.NumDevices() {
-			m.Link.mu.Unlock()
-			return fmt.Errorf("comm entry %d->%d: outside cluster", e.From, e.To)
-		}
 		k := pairKey{from: e.From, to: e.To}
 		acc, ok := m.Link.pairs[k]
 		if !ok {

@@ -83,6 +83,41 @@ func TestPersistRejectsForeignDevices(t *testing.T) {
 	}
 }
 
+// TestPersistRejectedSnapshotMergesNothing loads snapshots that fail
+// validation into a model that already holds statistics: each must be
+// rejected and leave the model exactly as it was, including comp entries
+// that precede the bad comm entry.
+func TestPersistRejectedSnapshotMergesNothing(t *testing.T) {
+	c := twoServerCluster(t) // 4 devices
+	m := NewModel(c)
+	m.Comp.Observe("conv1", 0, 10*time.Millisecond)
+	observeLine(m.Link, 0, 1, 10*time.Microsecond, 20e9, []int64{1 << 16, 1 << 20})
+	var before strings.Builder
+	if err := m.WriteJSON(&before); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	for name, doc := range map[string]string{
+		"comm entry outside the cluster": `{"comp":[{"name":"conv1","dev":0,"n":3,"mean":5e6,"m2":1}],` +
+			`"comm":[{"from":0,"to":1,"n":2,"sumX":3,"sumY":4,"sumXX":5,"sumXY":6,"minX":1,"maxX":2},{"from":9,"to":0,"n":1}]}`,
+		"negative comm count": `{"comp":[{"name":"fc6","dev":1,"n":1,"mean":3e6}],` +
+			`"comm":[{"from":0,"to":1,"n":-5,"sumX":3,"sumY":4,"sumXX":5,"sumXY":6,"minX":1,"maxX":2}]}`,
+		"negative comp count": `{"comp":[{"name":"fc6","dev":1,"n":1,"mean":3e6},{"name":"x","dev":0,"n":-1}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := m.ReadJSON(strings.NewReader(doc)); err == nil {
+				t.Fatal("snapshot accepted")
+			}
+			var after strings.Builder
+			if err := m.WriteJSON(&after); err != nil {
+				t.Fatalf("WriteJSON: %v", err)
+			}
+			if after.String() != before.String() {
+				t.Fatalf("rejected snapshot changed the model:\n%s\nvs\n%s", after.String(), before.String())
+			}
+		})
+	}
+}
+
 func TestPersistRejectsGarbage(t *testing.T) {
 	c := twoServerCluster(t)
 	m := NewModel(c)

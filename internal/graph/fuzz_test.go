@@ -2,13 +2,41 @@ package graph
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
+// decodeGraphOracle is the encoding/json decoder decodeGraph replaced, and
+// the reference for its accept set and decoded documents.
+func decodeGraphOracle(data []byte) (jsonGraph, error) {
+	var doc jsonGraph
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&doc)
+	return doc, err
+}
+
+// assertDecodesLikeOracle fails t unless decodeGraph and the oracle both
+// reject data or both accept it with deeply equal documents.
+func assertDecodesLikeOracle(t *testing.T, data []byte) {
+	t.Helper()
+	got, err := decodeGraph(data)
+	want, werr := decodeGraphOracle(data)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("decodeGraph error %v, oracle error %v, on %q", err, werr, data)
+	}
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("decodeGraph and the oracle disagree on %q:\n got %#v\nwant %#v", data, got, want)
+	}
+}
+
 // FuzzReadJSON asserts the graph decoder's contract on arbitrary bytes: it
-// never panics, everything it accepts is a valid DAG, and accepted graphs
-// serialize canonically — the written form re-reads and re-writes
-// byte-identically, and matches the encoding/json oracle byte for byte.
+// never panics, it accepts exactly the inputs the encoding/json oracle
+// accepts and decodes them to the same document, everything it accepts is a
+// valid DAG, and accepted graphs serialize canonically — the written form
+// re-reads and re-writes byte-identically, and matches the encoding/json
+// oracle byte for byte.
 func FuzzReadJSON(f *testing.F) {
 	f.Add([]byte(`{"ops":[{"name":"x","kind":"Input","outputBytes":4},` +
 		`{"name":"w","kind":"Variable","paramBytes":8},` +
@@ -19,7 +47,11 @@ func FuzzReadJSON(f *testing.F) {
 		`"edges":[{"from":"a","to":"b","bytes":0},{"from":"b","to":"a","bytes":0}]}`))
 	f.Add([]byte(`{"ops":[{"name":"a","kind":"NoSuchKind"}]}`))
 	f.Add([]byte(`[`))
+	for _, tc := range acceptSetCases {
+		f.Add([]byte(tc.doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		assertDecodesLikeOracle(t, data)
 		g, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			return

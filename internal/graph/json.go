@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"fastt/internal/jsonread"
 )
 
 // jsonOp is the serialized form of an Op.
@@ -195,16 +197,93 @@ func (e *jsonWriter) key(key string) {
 	e.buf = append(e.buf, "\": "...)
 }
 
-// ReadJSON parses a graph previously produced by WriteJSON (or authored by
-// hand) and validates it.
-func ReadJSON(r io.Reader) (*Graph, error) {
+var (
+	graphFields = []string{"ops", "edges"}
+	opFields    = []string{"name", "kind", "flops", "paramBytes", "outputBytes", "workspaceBytes",
+		"batch", "channels", "replica", "splitOf", "splitN", "gradFor", "colocateWith"}
+	edgeFields = []string{"from", "to", "bytes"}
+)
+
+// decodeGraph reads a jsonGraph document from the first JSON value in data,
+// accepting and decoding exactly what encoding/json's Decoder with unknown
+// fields disallowed does (see package jsonread).
+func decodeGraph(data []byte) (jsonGraph, error) {
 	var doc jsonGraph
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
+	r := jsonread.New(data)
+	r.Object(func(key []byte) {
+		switch jsonread.Field(key, graphFields) {
+		case "ops":
+			jsonread.Slice(r, &doc.Ops, func(op *jsonOp) { decodeOp(r, op) })
+		case "edges":
+			jsonread.Slice(r, &doc.Edges, func(e *jsonEdge) {
+				r.Object(func(key []byte) {
+					switch jsonread.Field(key, edgeFields) {
+					case "from":
+						r.String(&e.From)
+					case "to":
+						r.String(&e.To)
+					case "bytes":
+						r.Int64(&e.Bytes)
+					default:
+						r.Unknown(key)
+					}
+				})
+			})
+		default:
+			r.Unknown(key)
+		}
+	})
+	return doc, r.Err()
+}
+
+func decodeOp(r *jsonread.Reader, op *jsonOp) {
+	r.Object(func(key []byte) {
+		switch jsonread.Field(key, opFields) {
+		case "name":
+			r.String(&op.Name)
+		case "kind":
+			r.String(&op.Kind)
+		case "flops":
+			r.Int64(&op.FLOPs)
+		case "paramBytes":
+			r.Int64(&op.ParamBytes)
+		case "outputBytes":
+			r.Int64(&op.OutputBytes)
+		case "workspaceBytes":
+			r.Int64(&op.WorkspaceBytes)
+		case "batch":
+			r.Int(&op.Batch)
+		case "channels":
+			r.Int(&op.Channels)
+		case "replica":
+			r.Int(&op.Replica)
+		case "splitOf":
+			r.String(&op.SplitOf)
+		case "splitN":
+			r.Int(&op.SplitN)
+		case "gradFor":
+			r.String(&op.GradFor)
+		case "colocateWith":
+			r.String(&op.ColocateWith)
+		default:
+			r.Unknown(key)
+		}
+	})
+}
+
+// ReadJSON parses a graph previously produced by WriteJSON (or authored by
+// hand) and validates it. It reads r to EOF but decodes only the first JSON
+// value, ignoring whatever follows it.
+func ReadJSON(r io.Reader) (*Graph, error) {
+	data, err := jsonread.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("read graph: %w", err)
+	}
+	doc, err := decodeGraph(data)
+	if err != nil {
 		return nil, fmt.Errorf("decode graph: %w", err)
 	}
-	g := New()
+	g := NewWithCapacity(len(doc.Ops), len(doc.Edges))
 	for _, jo := range doc.Ops {
 		kind, ok := _kindByName[jo.Kind]
 		if !ok {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -209,6 +210,68 @@ func TestReadJSONRejectsUnknownFields(t *testing.T) {
 	doc := `{"ops":[{"name":"x","kind":"Relu","bogus":1}],"edges":[]}`
 	if _, err := ReadJSON(strings.NewReader(doc)); err == nil {
 		t.Error("unknown field accepted")
+	}
+}
+
+// acceptSetCases pin what ReadJSON accepts and how it decodes it, quirks of
+// the encoding/json decoder it replaced included. FuzzReadJSON seeds its
+// corpus with them. ops lists the decoded ops as "name/kind/flops"; nil
+// means the document is rejected.
+var acceptSetCases = []struct {
+	name, doc string
+	ops       []string
+}{
+	{"repeated array key decodes into the earlier elements",
+		`{"ops":[{"name":"a","kind":"Relu","flops":5}],"ops":[{"name":"b","kind":"Relu"}]}`,
+		[]string{"b/Relu/5"}},
+	{"repeated scalar key takes the last value",
+		`{"ops":[{"name":"a","kind":"Relu","flops":1,"flops":2}]}`, []string{"a/Relu/2"}},
+	{"keys fold case, Unicode included",
+		`{"OPS":[{"Name":"a","KIND":"Relu","flop\u017f":7}]}`, []string{"a/Relu/7"}},
+	{"top-level null is an empty graph", `null`, []string{}},
+	{"whatever follows the first value is ignored",
+		`{"ops":[{"name":"a","kind":"Relu"}]} junk`, []string{"a/Relu/0"}},
+	{"null fields leave their values", `{"ops":[{"name":"a","kind":"Relu","flops":null,"name":null}],"edges":null}`,
+		[]string{"a/Relu/0"}},
+	{"invalid UTF-8 reads as U+FFFD", "{\"ops\":[{\"name\":\"a\xff\",\"kind\":\"Relu\"}]}",
+		[]string{"a\ufffd/Relu/0"}},
+	{"a lone surrogate escape reads as U+FFFD", `{"ops":[{"name":"\ud800","kind":"Relu"}]}`,
+		[]string{"\ufffd/Relu/0"}},
+	{"a surrogate pair decodes", `{"ops":[{"name":"\ud83d\ude00","kind":"Relu"}]}`,
+		[]string{"\U0001f600/Relu/0"}},
+	{"1.0 is not an integer", `{"ops":[{"name":"a","kind":"Relu","flops":1.0}]}`, nil},
+	{"1e2 is not an integer", `{"ops":[{"name":"a","kind":"Relu","flops":1e2}]}`, nil},
+	{"an integer out of range", `{"ops":[{"name":"a","kind":"Relu","flops":9223372036854775808}]}`, nil},
+	{"unknown field", `{"ops":[{"name":"a","kind":"Relu","bogus":1}]}`, nil},
+	{"unknown top-level field", `{"ops":[],"extra":null}`, nil},
+	{"trailing comma", `{"ops":[{"name":"a","kind":"Relu"},]}`, nil},
+	{"unfinished document", `{"ops":[{"name":"a","kind":"Relu"}]`, nil},
+	{"string into an integer field", `{"ops":[{"name":"a","kind":"Relu","flops":"5"}]}`, nil},
+	{"empty input", ``, nil},
+}
+
+func TestReadJSONAcceptSet(t *testing.T) {
+	for _, tc := range acceptSetCases {
+		t.Run(tc.name, func(t *testing.T) {
+			assertDecodesLikeOracle(t, []byte(tc.doc))
+			g, err := ReadJSON(strings.NewReader(tc.doc))
+			if tc.ops == nil {
+				if err == nil {
+					t.Fatalf("accepted %q", tc.doc)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("rejected %q: %v", tc.doc, err)
+			}
+			got := []string{}
+			for _, op := range g.Ops() {
+				got = append(got, op.Name+"/"+op.Kind.String()+"/"+strconv.FormatInt(op.FLOPs, 10))
+			}
+			if !reflect.DeepEqual(got, tc.ops) {
+				t.Fatalf("ops = %q, want %q", got, tc.ops)
+			}
+		})
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"fastt/internal/cost"
 	"fastt/internal/device"
 	"fastt/internal/graph"
+	"fastt/internal/jsonread"
 	"fastt/internal/strategy"
 )
 
@@ -28,13 +30,14 @@ const SeedHeader = "X-Fastt-Seed"
 // maxRequestBytes caps a /v1/compute request body. The largest catalog
 // graph with a learned cost snapshot is a few MB. A body that declares a
 // larger Content-Length is answered 413 unread. One that streams past the
-// cap is answered 413 once the decoder has read maxRequestBytes; the
-// decoder keeps the unfinished value whole in a buffer that doubles, so
-// such a request costs about 4× the cap in allocations (256 MiB), at most
-// 3× live at once.
+// cap is read up to it, into a buffer that doubles on the way, and answered
+// 413 unless its first JSON value (or a syntax error) already lies inside
+// the cap, in which case that prefix is handled as the whole body. Either
+// way an endless body allocates 2× the cap, 128 MiB (measured).
 const maxRequestBytes = 64 << 20
 
-// computeRequest is the wire form of a strategy question.
+// computeRequest is the wire form of a strategy question, read by
+// decodeRequest. Its json tags name the wire fields.
 type computeRequest struct {
 	// Model optionally names the catalog model (provenance only).
 	Model string `json:"model,omitempty"`
@@ -86,16 +89,19 @@ func (s *Service) handleCompute(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("request body of %d bytes exceeds the %d-byte cap", r.ContentLength, maxRequestBytes))
 		return
 	}
-	var wire computeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
+	body, err := readBody(w, r)
+	if err != nil && !jsonread.Settled(body) {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		httpError(w, status, fmt.Sprintf("decode request: %v", err))
+		httpError(w, status, fmt.Sprintf("read request: %v", err))
+		return
+	}
+	wire, err := decodeRequest(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	req, err := s.buildRequest(&wire)
@@ -134,6 +140,92 @@ func (s *Service) handleCompute(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(`,"artifact":`))
 	w.Write(res.ArtifactJSON)
 	w.Write([]byte("}\n"))
+}
+
+// readBody reads the request body, at most maxRequestBytes of it, into one
+// buffer: sized from Content-Length when the client sent one, else grown by
+// doubling. Past the cap it returns the first maxRequestBytes bytes with
+// the *http.MaxBytesError.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	size := 512
+	if r.ContentLength > 0 {
+		size = int(r.ContentLength) + 1 // room to read EOF without growing
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			// The last doubling goes to one byte past the cap: room for
+			// MaxBytesReader to tell a body of exactly the cap from a longer
+			// one without another doubling.
+			n := 2 * cap(buf)
+			if n >= maxRequestBytes {
+				n = maxRequestBytes + 1
+			}
+			grown := make([]byte, len(buf), n)
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+var (
+	requestFields = []string{"model", "graph", "graphFingerprint", "cluster", "costs", "costHash", "seed", "timeoutMs"}
+	shapeFields   = []string{"servers", "gpusPerServer", "devices", "classes"}
+)
+
+// decodeRequest reads a computeRequest from the first JSON value in body,
+// accepting and decoding exactly what encoding/json's Decoder with unknown
+// fields disallowed does (see package jsonread). Graph, Costs and Seed are
+// sub-slices of body.
+func decodeRequest(body []byte) (computeRequest, error) {
+	var wire computeRequest
+	r := jsonread.New(body)
+	r.Object(func(key []byte) {
+		switch jsonread.Field(key, requestFields) {
+		case "model":
+			r.String(&wire.Model)
+		case "graph":
+			wire.Graph = r.Raw()
+		case "graphFingerprint":
+			r.String(&wire.GraphFingerprint)
+		case "cluster":
+			shape := &wire.Cluster
+			r.Object(func(key []byte) {
+				switch jsonread.Field(key, shapeFields) {
+				case "servers":
+					r.Int(&shape.Servers)
+				case "gpusPerServer":
+					r.Int(&shape.GPUsPerServer)
+				case "devices":
+					r.Int(&shape.Devices)
+				case "classes":
+					r.String(&shape.Classes)
+				default:
+					r.Unknown(key)
+				}
+			})
+		case "costs":
+			wire.Costs = r.Raw()
+		case "costHash":
+			r.String(&wire.CostHash)
+		case "seed":
+			wire.Seed = r.Raw()
+		case "timeoutMs":
+			r.Int64(&wire.TimeoutMs)
+		default:
+			r.Unknown(key)
+		}
+	})
+	return wire, r.Err()
 }
 
 // buildRequest converts the wire form into a service request, parsing the

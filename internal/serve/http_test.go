@@ -219,11 +219,11 @@ func (r *endlessReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestHTTPBodyLimit streams a request whose body never ends: the handler
-// must stop reading at maxRequestBytes and answer 413. The decoder buffers
-// the unfinished string whole, so this allocates about 256 MiB in all
-// (see maxRequestBytes). A body that declares a Content-Length over the
-// cap must be answered 413 without a byte read.
+// TestHTTPBodyLimit streams a request whose body never ends inside an
+// unfinished string: the handler must stop reading at maxRequestBytes and
+// answer 413. Reading up to the cap allocates 128 MiB in all, measured (see
+// maxRequestBytes). A body that declares a Content-Length over the cap must
+// be answered 413 without a byte read.
 func TestHTTPBodyLimit(t *testing.T) {
 	svc := New(Config{Strategist: stubStrategist(nil)})
 	body := &endlessReader{b: 'a'}

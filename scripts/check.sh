@@ -2,7 +2,7 @@
 # check.sh — the repo's verification tiers (see ROADMAP.md).
 #
 #   tier 1: gofmt gate + build + full test suite + a 1-iteration bench
-#           smoke (DPOSThroughput, ServeWarmHit and GraphWriteJSON) so the bench harness
+#           smoke (DPOSThroughput, ServeWarmHit, GraphWriteJSON and GraphReadJSON) so the bench harness
 #           itself cannot silently rot between opt-in bench runs (no timing gate — it only has to run) + vet
 #           and tests of the perfbench module, which builds against the
 #           internal packages and would otherwise break unnoticed
@@ -20,8 +20,10 @@
 #           herd are internal/serve tests; the warm-path floor is
 #           BenchmarkServeWarmHit, gated by scripts/bench.sh.)
 #   fuzz:   10s fuzz smoke per decoder (strategy/graph/cost/cluster-spec
-#           JSON) on top of replaying the committed corpora under
-#           testdata/fuzz/
+#           JSON, and the /v1/compute handler end to end) on top of
+#           replaying the committed corpora under testdata/fuzz/; the graph,
+#           cost, compute and jsonread targets also check the hand-written
+#           decoders against their encoding/json oracles
 #   gap:    optimality-gap smoke — `benchtab -what gap` on two small models
 #           must emit a Theorem-1 "ok" verdict for every row, and two runs
 #           must be byte-identical (the bound solver and the gap table are
@@ -63,8 +65,8 @@ if [ "$tier" = "1" ] || [ "$tier" = "all" ]; then
 	fi
 	go build ./...
 	go test ./...
-	echo "== tier 1: bench smoke (BenchmarkDPOSThroughput, BenchmarkServeWarmHit, BenchmarkGraphWriteJSON; 1 iteration)"
-	go test -run '^$' -bench 'BenchmarkDPOSThroughput|BenchmarkServeWarmHit|BenchmarkGraphWriteJSON' -benchtime 1x .
+	echo "== tier 1: bench smoke (BenchmarkDPOSThroughput, BenchmarkServeWarmHit, BenchmarkGraphWriteJSON, BenchmarkGraphReadJSON; 1 iteration)"
+	go test -run '^$' -bench 'BenchmarkDPOSThroughput|BenchmarkServeWarmHit|BenchmarkGraphWriteJSON|BenchmarkGraphReadJSON' -benchtime 1x .
 	echo "== tier 1: perfbench module (go vet + go test)"
 	go -C perfbench vet . && go -C perfbench test .
 fi
@@ -169,6 +171,8 @@ if [ "$tier" = "fuzz" ] || [ "$tier" = "all" ]; then
 	go test ./internal/graph/ -fuzz '^FuzzReadJSON$' -fuzztime 10s
 	go test ./internal/cost/ -fuzz '^FuzzModelReadJSON$' -fuzztime 10s
 	go test ./internal/device/ -fuzz '^FuzzReadSpec$' -fuzztime 10s
+	go test ./internal/serve/ -fuzz '^FuzzCompute$' -fuzztime 10s
+	go test ./internal/jsonread/ -fuzz '^FuzzReader$' -fuzztime 10s
 fi
 
 if [ "$tier" = "gap" ] || [ "$tier" = "all" ]; then
