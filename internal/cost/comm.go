@@ -30,32 +30,38 @@ func (l LinearModel) Predict(bytes int64) time.Duration {
 // olsAccumulator incrementally accumulates the sums needed for ordinary
 // least squares on (bytes, seconds) pairs.
 type olsAccumulator struct {
-	n                  int64
-	sumX, sumY         float64
-	sumXX, sumXY       float64
-	minX, maxX         float64
-	firstX, firstYperX float64
+	n            int64
+	sumX, sumY   float64
+	sumXX, sumXY float64
+	minX, maxX   float64
 }
 
-func (a *olsAccumulator) add(x, y float64) {
+// sample returns the accumulator of the one pair (x, y).
+func sample(x, y float64) olsAccumulator {
+	return olsAccumulator{n: 1, sumX: x, sumY: y, sumXX: x * x, sumXY: x * y, minX: x, maxX: x}
+}
+
+// merge folds b's sums into a. It is exact for everything the fit reads,
+// and merging a sample adds its pair bit for bit.
+func (a *olsAccumulator) merge(b *olsAccumulator) {
+	if b.n == 0 {
+		return
+	}
 	if a.n == 0 {
-		a.minX, a.maxX = x, x
-		a.firstX = x
-		if x > 0 {
-			a.firstYperX = y / x
+		a.minX, a.maxX = b.minX, b.maxX
+	} else {
+		if b.minX < a.minX {
+			a.minX = b.minX
+		}
+		if b.maxX > a.maxX {
+			a.maxX = b.maxX
 		}
 	}
-	a.n++
-	a.sumX += x
-	a.sumY += y
-	a.sumXX += x * x
-	a.sumXY += x * y
-	if x < a.minX {
-		a.minX = x
-	}
-	if x > a.maxX {
-		a.maxX = x
-	}
+	a.n += b.n
+	a.sumX += b.sumX
+	a.sumY += b.sumY
+	a.sumXX += b.sumXX
+	a.sumXY += b.sumXY
 }
 
 // fit solves the normal equations. With fewer than two distinct sizes the
@@ -101,12 +107,15 @@ const (
 // per ordered device pair, with a link-class (intra-server / same-rack /
 // cross-rack) fallback for pairs that have not carried traffic yet. Unknown
 // classes read as zero so the scheduler explores them, per the paper.
-// CommModel is safe for concurrent use.
+// Predictions come from a frozen CommSnapshot, memoised until the next
+// write. CommModel is safe for concurrent use.
 type CommModel struct {
 	mu      sync.RWMutex
 	cluster *device.Cluster
 	pairs   map[pairKey]*olsAccumulator
-	classes [numLinkClasses]*olsAccumulator
+	classes [numLinkClasses]olsAccumulator
+	// snap memoises Snapshot; every write clears it under the write lock.
+	snap *CommSnapshot
 }
 
 // NewCommModel returns an empty communication model for the cluster.
@@ -114,12 +123,7 @@ func NewCommModel(cluster *device.Cluster) *CommModel {
 	return &CommModel{
 		cluster: cluster,
 		pairs:   make(map[pairKey]*olsAccumulator),
-		classes: [numLinkClasses]*olsAccumulator{{}, {}, {}},
 	}
-}
-
-func (m *CommModel) classOf(from, to int) int {
-	return linkClassOf(m.cluster, from, to)
 }
 
 func linkClassOf(cluster *device.Cluster, from, to int) int {
@@ -134,6 +138,16 @@ func linkClassOf(cluster *device.Cluster, from, to int) int {
 	}
 }
 
+// fold merges acc into the accumulators of the pair from->to and of its
+// link class, creating the pair's on first use, and drops the memoised
+// snapshot. Observations, loads and remaps all write through it. The
+// caller holds the write lock.
+func (m *CommModel) fold(from, to int, acc *olsAccumulator) {
+	entry(m.pairs, pairKey{from: from, to: to}).merge(acc)
+	m.classes[linkClassOf(m.cluster, from, to)].merge(acc)
+	m.snap = nil
+}
+
 // Observe records a transfer of `bytes` from one device to another taking
 // d. Same-device observations are ignored.
 func (m *CommModel) Observe(from, to int, bytes int64, d time.Duration) {
@@ -142,62 +156,8 @@ func (m *CommModel) Observe(from, to int, bytes int64, d time.Duration) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := pairKey{from: from, to: to}
-	acc, ok := m.pairs[k]
-	if !ok {
-		acc = &olsAccumulator{}
-		m.pairs[k] = acc
-	}
-	x, y := float64(bytes), float64(d)/float64(time.Second)
-	acc.add(x, y)
-	m.classes[m.classOf(from, to)].add(x, y)
-}
-
-// Comm implements the estimator contract: per-pair fit, then link-class
-// fallback, then zero (explore).
-func (m *CommModel) Comm(bytes int64, from, to *device.Device) time.Duration {
-	if from.ID == to.ID {
-		return 0
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if acc, ok := m.pairs[pairKey{from: from.ID, to: to.ID}]; ok && acc.n > 0 {
-		return acc.fit().Predict(bytes)
-	}
-	if cls := m.classes[m.classOf(from.ID, to.ID)]; cls.n > 0 {
-		return cls.fit().Predict(bytes)
-	}
-	return 0
-}
-
-// MaxComm returns the maximal predicted transfer time of a tensor over all
-// ordered device pairs — the c_{i,j} of the paper's rank computation.
-func (m *CommModel) MaxComm(bytes int64) time.Duration {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var maxT time.Duration
-	for i := range m.cluster.Devices() {
-		for j := range m.cluster.Devices() {
-			if i == j {
-				continue
-			}
-			t := m.commLocked(bytes, i, j)
-			if t > maxT {
-				maxT = t
-			}
-		}
-	}
-	return maxT
-}
-
-func (m *CommModel) commLocked(bytes int64, from, to int) time.Duration {
-	if acc, ok := m.pairs[pairKey{from: from, to: to}]; ok && acc.n > 0 {
-		return acc.fit().Predict(bytes)
-	}
-	if cls := m.classes[m.classOf(from, to)]; cls.n > 0 {
-		return cls.fit().Predict(bytes)
-	}
-	return 0
+	one := sample(float64(bytes), float64(d)/float64(time.Second))
+	m.fold(from, to, &one)
 }
 
 // CommSnapshot is an immutable view of a CommModel: every per-pair and
@@ -209,13 +169,28 @@ type CommSnapshot struct {
 	cluster *device.Cluster
 	pairs   map[pairKey]LinearModel
 	classes [numLinkClasses]LinearModel
-	classN  [numLinkClasses]int64
 }
 
-// Snapshot fits and freezes the model's current state.
+// Snapshot returns the model's current state fitted and frozen, memoised
+// until the next write.
 func (m *CommModel) Snapshot() *CommSnapshot {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
+	s := m.snap
+	m.mu.RUnlock()
+	if s != nil {
+		return s
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.snap == nil {
+		m.snap = m.freeze()
+	}
+	return m.snap
+}
+
+// freeze fits every accumulator into a new snapshot. The caller holds the
+// lock.
+func (m *CommModel) freeze() *CommSnapshot {
 	s := &CommSnapshot{
 		cluster: m.cluster,
 		pairs:   make(map[pairKey]LinearModel, len(m.pairs)),
@@ -225,17 +200,15 @@ func (m *CommModel) Snapshot() *CommSnapshot {
 			s.pairs[k] = acc.fit()
 		}
 	}
-	for i, acc := range m.classes {
-		s.classN[i] = acc.n
-		if acc.n > 0 {
-			s.classes[i] = acc.fit()
-		}
+	for i := range m.classes {
+		s.classes[i] = m.classes[i].fit()
 	}
 	return s
 }
 
-// Comm predicts like CommModel.Comm against the frozen fits: per-pair line,
-// then link-class fallback, then zero (explore).
+// Comm predicts the transfer time from the frozen fits: the per-pair line,
+// then the link-class fallback, then zero (explore). Same-device transfers
+// cost zero.
 func (s *CommSnapshot) Comm(bytes int64, from, to *device.Device) time.Duration {
 	if from.ID == to.ID {
 		return 0
@@ -243,9 +216,8 @@ func (s *CommSnapshot) Comm(bytes int64, from, to *device.Device) time.Duration 
 	if l, ok := s.pairs[pairKey{from: from.ID, to: to.ID}]; ok {
 		return l.Predict(bytes)
 	}
-	cls := linkClassOf(s.cluster, from.ID, to.ID)
-	if s.classN[cls] > 0 {
-		return s.classes[cls].Predict(bytes)
+	if l := s.classes[linkClassOf(s.cluster, from.ID, to.ID)]; l.N > 0 {
+		return l.Predict(bytes)
 	}
 	return 0
 }

@@ -29,11 +29,11 @@ func observeLine(m *CommModel, from, to int, latency time.Duration, bandwidth fl
 
 func TestCommModelRecoversLinearLaw(t *testing.T) {
 	c := twoServerCluster(t)
-	m := NewCommModel(c)
-	observeLine(m, 0, 1, 10*time.Microsecond, 20e9,
+	m := NewModel(c)
+	observeLine(m.Link, 0, 1, 10*time.Microsecond, 20e9,
 		[]int64{1 << 10, 1 << 16, 1 << 20, 1 << 24})
 
-	lm, ok := m.Pair(0, 1)
+	lm, ok := m.Link.Pair(0, 1)
 	if !ok {
 		t.Fatal("Pair fit missing")
 	}
@@ -53,7 +53,7 @@ func TestCommModelRecoversLinearLaw(t *testing.T) {
 
 func TestCommModelSameDeviceZero(t *testing.T) {
 	c := twoServerCluster(t)
-	m := NewCommModel(c)
+	m := NewModel(c)
 	if got := m.Comm(1<<20, c.Device(0), c.Device(0)); got != 0 {
 		t.Errorf("same-device Comm = %v, want 0", got)
 	}
@@ -61,7 +61,7 @@ func TestCommModelSameDeviceZero(t *testing.T) {
 
 func TestCommModelUnknownPairExploresAsZero(t *testing.T) {
 	c := twoServerCluster(t)
-	m := NewCommModel(c)
+	m := NewModel(c)
 	if got := m.Comm(1<<20, c.Device(0), c.Device(1)); got != 0 {
 		t.Errorf("unprofiled Comm = %v, want 0 (explore)", got)
 	}
@@ -69,9 +69,9 @@ func TestCommModelUnknownPairExploresAsZero(t *testing.T) {
 
 func TestCommModelClassFallback(t *testing.T) {
 	c := twoServerCluster(t)
-	m := NewCommModel(c)
+	m := NewModel(c)
 	// Train the intra-server class on pair (0,1) only.
-	observeLine(m, 0, 1, 10*time.Microsecond, 20e9, []int64{1 << 16, 1 << 20})
+	observeLine(m.Link, 0, 1, 10*time.Microsecond, 20e9, []int64{1 << 16, 1 << 20})
 	// Pair (1,0) is unobserved but same class; should borrow the fit.
 	got := m.Comm(1<<20, c.Device(1), c.Device(0))
 	if got == 0 {
@@ -83,22 +83,10 @@ func TestCommModelClassFallback(t *testing.T) {
 	}
 }
 
-func TestCommModelMaxCommPicksSlowestPair(t *testing.T) {
-	c := twoServerCluster(t)
-	m := NewCommModel(c)
-	observeLine(m, 0, 1, 10*time.Microsecond, 20e9, []int64{1 << 16, 1 << 20}) // fast
-	observeLine(m, 0, 2, 50*time.Microsecond, 3e9, []int64{1 << 16, 1 << 20})  // slow
-	maxT := m.MaxComm(1 << 20)
-	slow := m.Comm(1<<20, c.Device(0), c.Device(2))
-	if maxT != slow {
-		t.Errorf("MaxComm = %v, want slow pair %v", maxT, slow)
-	}
-}
-
 func TestCommModelSingleSizeProportional(t *testing.T) {
 	c := twoServerCluster(t)
-	m := NewCommModel(c)
-	m.Observe(0, 1, 1<<20, 1*time.Millisecond)
+	m := NewModel(c)
+	m.Link.Observe(0, 1, 1<<20, 1*time.Millisecond)
 	// With one distinct size the model scales proportionally through zero.
 	got := m.Comm(2<<20, c.Device(0), c.Device(1))
 	if got < 1900*time.Microsecond || got > 2100*time.Microsecond {
@@ -123,7 +111,8 @@ func TestOLSPropertyRecoversRandomLines(t *testing.T) {
 		var acc olsAccumulator
 		for i := 0; i < 10; i++ {
 			x := float64(rng.Int63n(1 << 24))
-			acc.add(x, intercept+slope*x)
+			one := sample(x, intercept+slope*x)
+			acc.merge(&one)
 		}
 		lm := acc.fit()
 		okSlope := lm.Slope > slope*0.99 && lm.Slope < slope*1.01

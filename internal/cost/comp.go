@@ -26,70 +26,68 @@ type classKey struct {
 	class string
 }
 
-// CompModel is the computation cost model. It records observed execution
-// times per (operation name, device) and answers lookups for the scheduler.
-// Missing entries read as zero, which — per the paper — biases the
-// scheduler toward exploring unprofiled placements so the profiler can fill
-// them in on subsequent steps.
-//
-// Four estimation fallbacks keep the white-box heuristics effective before
-// full coverage:
-//
-//   - same-class: a time observed on any device of the same class
-//     approximates the time on all of them (a profile transfers across
-//     V100s but not from a V100 to a T4);
-//   - cross-class scaled: absent same-class data, a time observed on another
-//     class scaled by the peak-throughput ratio — a T4 runs a V100-profiled
-//     op roughly peakV100/peakT4 slower. This is what lets the scheduler
-//     exploit a freshly joined faster device before it has been profiled.
-//     On single-class clusters the tier never fires;
-//   - cross-device: a time observed on any device at all, unscaled — the
-//     only cross-device fallback the model had when clusters were uniformly
-//     V100;
-//   - split scaling: a sub-operation produced by SplitOperation is
-//     estimated from its parent's observed time scaled sublinearly (small
-//     kernels run at lower utilization, so 1/n of the work takes more than
-//     1/n of the time).
-//
-// CompModel is safe for concurrent use.
-type CompModel struct {
-	mu     sync.RWMutex
-	stats  map[compKey]*runningStat
-	byName map[string]*runningStat // any-device aggregate per op name
-	// byClass pools observations across same-class devices. devClass maps
-	// device ID -> class name for the cluster the model was built for; nil
-	// (the class-less constructor) disables the class tier entirely.
-	byClass  map[classKey]*runningStat
+// splitExponent controls the sublinear split-scaling fallback: a 1/n
+// partition is estimated at parent * n^-splitExponent.
+const splitExponent = 0.85
+
+// classLayout is the device-class layout of the cluster a CompModel was
+// built for. It never changes after construction, so every snapshot shares
+// the model's.
+type classLayout struct {
+	// devClass maps device ID -> class name.
 	devClass []string
 	// classFLOPS maps class name -> peak FLOPS and classNames lists the
 	// cluster's classes sorted, fixing the probe order of the cross-class
 	// scaled fallback.
 	classFLOPS map[string]float64
 	classNames []string
-	// SplitExponent controls the sublinear split-scaling fallback: a 1/n
-	// partition is estimated at parent * n^-SplitExponent.
-	splitExponent float64
 }
 
-// NewCompModel returns an empty computation cost model with no device-class
-// information (every device is its own anonymous class and only the
-// any-device fallback applies). Prefer NewCompModelFor.
-func NewCompModel() *CompModel {
-	return &CompModel{
-		stats:         make(map[compKey]*runningStat),
-		byName:        make(map[string]*runningStat),
-		byClass:       make(map[classKey]*runningStat),
-		splitExponent: 0.85,
+// classOf returns the class label of a device ID, or "" for a device the
+// cluster did not have.
+func (l *classLayout) classOf(dev int) string {
+	if dev < 0 || dev >= len(l.devClass) {
+		return ""
 	}
+	return l.devClass[dev]
+}
+
+// CompModel is the computation cost model. It records observed execution
+// times per (operation name, device) and answers lookups for the scheduler.
+// Missing entries read as zero, which — per the paper — biases the
+// scheduler toward exploring unprofiled placements so the profiler can fill
+// them in on subsequent steps.
+//
+// Predictions come from a frozen CompSnapshot (see CompSnapshot.Exec for
+// the fallback ladder). The model memoises its snapshot until the next
+// write, so repeated reads of an unchanged model freeze it once.
+//
+// CompModel is safe for concurrent use.
+type CompModel struct {
+	mu     sync.RWMutex
+	stats  map[compKey]*runningStat
+	byName map[string]*runningStat // any-device aggregate per op name
+	// byClass pools observations across same-class devices.
+	byClass map[classKey]*runningStat
+	classLayout
+	// snap memoises Snapshot; every write clears it under the write lock.
+	snap *CompSnapshot
 }
 
 // NewCompModelFor returns an empty computation cost model keyed to the
 // cluster's device classes.
 func NewCompModelFor(cluster *device.Cluster) *CompModel {
-	m := NewCompModel()
-	m.devClass = deviceClasses(cluster)
-	m.classFLOPS = make(map[string]float64)
+	m := &CompModel{
+		stats:   make(map[compKey]*runningStat),
+		byName:  make(map[string]*runningStat),
+		byClass: make(map[classKey]*runningStat),
+		classLayout: classLayout{
+			devClass:   make([]string, cluster.NumDevices()),
+			classFLOPS: make(map[string]float64),
+		},
+	}
 	for _, d := range cluster.Devices() {
+		m.devClass[d.ID] = d.ClassName()
 		if _, ok := m.classFLOPS[d.ClassName()]; !ok {
 			m.classFLOPS[d.ClassName()] = d.PeakFLOPS
 			m.classNames = append(m.classNames, d.ClassName())
@@ -99,49 +97,34 @@ func NewCompModelFor(cluster *device.Cluster) *CompModel {
 	return m
 }
 
-// deviceClasses snapshots the cluster's device ID -> class-name mapping.
-func deviceClasses(cluster *device.Cluster) []string {
-	classes := make([]string, cluster.NumDevices())
-	for _, d := range cluster.Devices() {
-		classes[d.ID] = d.ClassName()
+// entry returns m[k], creating it on first use.
+func entry[K comparable, V any](m map[K]*V, k K) *V {
+	v, ok := m[k]
+	if !ok {
+		v = new(V)
+		m[k] = v
 	}
-	return classes
+	return v
 }
 
-// classOf returns the class label of a device ID, or "" when unknown.
-func (m *CompModel) classOf(dev int) string {
-	if dev < 0 || dev >= len(m.devClass) {
-		return ""
+// fold applies f to the exact, same-class and any-device statistics of the
+// named op on dev, creating each on first use, and drops the memoised
+// snapshot. Observations, loads and remaps all write through it. The
+// caller holds the write lock.
+func (m *CompModel) fold(name string, dev int, f func(*runningStat)) {
+	f(entry(m.stats, compKey{name: name, dev: dev}))
+	if class := m.classOf(dev); class != "" {
+		f(entry(m.byClass, classKey{name: name, class: class}))
 	}
-	return m.devClass[dev]
+	f(entry(m.byName, name))
+	m.snap = nil
 }
 
 // Observe records an execution of the named op on device dev.
 func (m *CompModel) Observe(name string, dev int, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := compKey{name: name, dev: dev}
-	s, ok := m.stats[k]
-	if !ok {
-		s = &runningStat{}
-		m.stats[k] = s
-	}
-	s.add(float64(d))
-	if class := m.classOf(dev); class != "" {
-		ck := classKey{name: name, class: class}
-		cs, ok := m.byClass[ck]
-		if !ok {
-			cs = &runningStat{}
-			m.byClass[ck] = cs
-		}
-		cs.add(float64(d))
-	}
-	agg, ok := m.byName[name]
-	if !ok {
-		agg = &runningStat{}
-		m.byName[name] = agg
-	}
-	agg.add(float64(d))
+	m.fold(name, dev, func(s *runningStat) { s.add(float64(d)) })
 }
 
 // Lookup returns the mean observed time for (name, dev) and whether any
@@ -156,98 +139,42 @@ func (m *CompModel) Lookup(name string, dev int) (time.Duration, bool) {
 	return time.Duration(s.mean), true
 }
 
-// Exec implements the estimator contract: exact key, then same-class
-// fallback, then cross-device fallback, then split-scaling fallback, then
-// zero (explore).
-func (m *CompModel) Exec(op *graph.Op, dev *device.Device) time.Duration {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.execLocked(op, dev.ID)
-}
-
-func (m *CompModel) execLocked(op *graph.Op, dev int) time.Duration {
-	if s, ok := m.stats[compKey{name: op.Name, dev: dev}]; ok {
-		return time.Duration(s.mean)
-	}
-	class := m.classOf(dev)
-	if class != "" {
-		if s, ok := m.byClass[classKey{name: op.Name, class: class}]; ok {
-			return time.Duration(s.mean)
-		}
-		if t, ok := m.crossClassLocked(op.Name, class, 1); ok {
-			return t
-		}
-	}
-	if s, ok := m.byName[op.Name]; ok {
-		return time.Duration(s.mean)
-	}
-	if op.SplitOf != "" && op.SplitN > 1 {
-		scale := math.Pow(float64(op.SplitN), -m.splitExponent)
-		if class != "" {
-			if s, ok := m.byClass[classKey{name: op.SplitOf, class: class}]; ok {
-				return time.Duration(s.mean * scale)
-			}
-			if t, ok := m.crossClassLocked(op.SplitOf, class, scale); ok {
-				return t
-			}
-		}
-		if s, ok := m.byName[op.SplitOf]; ok {
-			return time.Duration(s.mean * scale)
-		}
-	}
-	return 0
-}
-
-// crossClassLocked estimates op name on a device of class from another
-// class's pooled observations, scaled by the peak-throughput ratio. Classes
-// are probed in sorted-name order so the estimate is deterministic when
-// several have data. Single-class clusters never reach here with a hit.
-func (m *CompModel) crossClassLocked(name, class string, scale float64) (time.Duration, bool) {
-	own := m.classFLOPS[class]
-	if own <= 0 {
-		return 0, false
-	}
-	for _, other := range m.classNames {
-		if other == class {
-			continue
-		}
-		s, ok := m.byClass[classKey{name: name, class: other}]
-		if !ok {
-			continue
-		}
-		if ref := m.classFLOPS[other]; ref > 0 {
-			return time.Duration(s.mean * scale * ref / own), true
-		}
-	}
-	return 0, false
-}
-
 // CompSnapshot is an immutable view of a CompModel: the per-(name, device),
 // per-(name, class) and per-name means frozen at snapshot time. Worker
 // goroutines of the parallel strategy calculator read it lock-free while
 // concurrent Observe calls keep mutating the live model.
 type CompSnapshot struct {
-	exact         map[compKey]time.Duration
-	byClass       map[classKey]time.Duration
-	byName        map[string]time.Duration
-	devClass      []string
-	classFLOPS    map[string]float64
-	classNames    []string
-	splitExponent float64
+	exact   map[compKey]time.Duration
+	byClass map[classKey]time.Duration
+	byName  map[string]time.Duration
+	classLayout
 }
 
-// Snapshot freezes the model's current means.
+// Snapshot returns the model's current means frozen, memoised until the
+// next write.
 func (m *CompModel) Snapshot() *CompSnapshot {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
+	s := m.snap
+	m.mu.RUnlock()
+	if s != nil {
+		return s
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.snap == nil {
+		m.snap = m.freeze()
+	}
+	return m.snap
+}
+
+// freeze copies the current means into a new snapshot. The caller holds
+// the lock.
+func (m *CompModel) freeze() *CompSnapshot {
 	s := &CompSnapshot{
-		exact:         make(map[compKey]time.Duration, len(m.stats)),
-		byClass:       make(map[classKey]time.Duration, len(m.byClass)),
-		byName:        make(map[string]time.Duration, len(m.byName)),
-		devClass:      m.devClass,
-		classFLOPS:    m.classFLOPS,
-		classNames:    m.classNames,
-		splitExponent: m.splitExponent,
+		exact:       make(map[compKey]time.Duration, len(m.stats)),
+		byClass:     make(map[classKey]time.Duration, len(m.byClass)),
+		byName:      make(map[string]time.Duration, len(m.byName)),
+		classLayout: m.classLayout,
 	}
 	for k, st := range m.stats {
 		s.exact[k] = time.Duration(st.mean)
@@ -261,17 +188,32 @@ func (m *CompModel) Snapshot() *CompSnapshot {
 	return s
 }
 
-// Exec predicts like CompModel.Exec against the frozen means: exact key,
-// then same-class, then cross-class scaled, then cross-device fallback, then
-// split-scaling fallback, then zero.
+// Exec predicts the run time of op on dev from the frozen means, down a
+// fallback ladder that keeps the white-box heuristics effective before
+// full coverage:
+//
+//   - exact: the mean observed for (op, dev);
+//   - same-class: a time observed on any device of the same class
+//     approximates the time on all of them (a profile transfers across
+//     V100s but not from a V100 to a T4);
+//   - cross-class scaled: absent same-class data, a time observed on another
+//     class scaled by the peak-throughput ratio — a T4 runs a V100-profiled
+//     op roughly peakV100/peakT4 slower. This is what lets the scheduler
+//     exploit a freshly joined faster device before it has been profiled.
+//     On single-class clusters the tier never fires;
+//   - any-device: a time observed on any device at all, unscaled; it
+//     answers for a device the model's cluster did not have;
+//   - split scaling: a sub-operation produced by SplitOperation is
+//     estimated from its parent's time, found by the same class,
+//     cross-class and any-device rungs, scaled sublinearly (small kernels
+//     run at lower utilization, so 1/n of the work takes more than 1/n of
+//     the time);
+//   - zero: nothing observed, so the scheduler explores the placement.
 func (s *CompSnapshot) Exec(op *graph.Op, dev *device.Device) time.Duration {
 	if t, ok := s.exact[compKey{name: op.Name, dev: dev.ID}]; ok {
 		return t
 	}
-	var class string
-	if dev.ID >= 0 && dev.ID < len(s.devClass) {
-		class = s.devClass[dev.ID]
-	}
+	class := s.classOf(dev.ID)
 	if class != "" {
 		if t, ok := s.byClass[classKey{name: op.Name, class: class}]; ok {
 			return t
@@ -284,7 +226,7 @@ func (s *CompSnapshot) Exec(op *graph.Op, dev *device.Device) time.Duration {
 		return t
 	}
 	if op.SplitOf != "" && op.SplitN > 1 {
-		scale := math.Pow(float64(op.SplitN), -s.splitExponent)
+		scale := math.Pow(float64(op.SplitN), -splitExponent)
 		if class != "" {
 			if t, ok := s.byClass[classKey{name: op.SplitOf, class: class}]; ok {
 				return time.Duration(float64(t) * scale)
@@ -300,7 +242,10 @@ func (s *CompSnapshot) Exec(op *graph.Op, dev *device.Device) time.Duration {
 	return 0
 }
 
-// crossClass mirrors CompModel.crossClassLocked against the frozen means.
+// crossClass estimates op name on a device of class from another class's
+// pooled mean, scaled by scale and the peak-throughput ratio. Classes are
+// probed in sorted-name order so the estimate is deterministic when several
+// have data. Single-class clusters never reach here with a hit.
 func (s *CompSnapshot) crossClass(name, class string, scale float64) (time.Duration, bool) {
 	own := s.classFLOPS[class]
 	if own <= 0 {
@@ -319,20 +264,6 @@ func (s *CompSnapshot) crossClass(name, class string, scale float64) (time.Durat
 		}
 	}
 	return 0, false
-}
-
-// MaxExec returns the maximal estimated execution time of op over the
-// devices of the cluster — the w_i of the paper's rank computation.
-func (m *CompModel) MaxExec(op *graph.Op, c *device.Cluster) time.Duration {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var maxT time.Duration
-	for _, d := range c.Devices() {
-		if t := m.execLocked(op, d.ID); t > maxT {
-			maxT = t
-		}
-	}
-	return maxT
 }
 
 // Coverage returns the fraction of the graph's ops that have at least one

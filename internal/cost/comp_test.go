@@ -18,7 +18,7 @@ func twoGPUs(t *testing.T) *device.Cluster {
 }
 
 func TestCompModelObserveLookup(t *testing.T) {
-	m := NewCompModel()
+	m := NewCompModelFor(twoGPUs(t))
 	m.Observe("conv1", 0, 10*time.Millisecond)
 	m.Observe("conv1", 0, 20*time.Millisecond)
 	got, ok := m.Lookup("conv1", 0)
@@ -38,17 +38,19 @@ func TestCompModelObserveLookup(t *testing.T) {
 
 func TestCompModelMissingReadsZero(t *testing.T) {
 	c := twoGPUs(t)
-	m := NewCompModel()
+	m := NewModel(c)
 	op := &graph.Op{Name: "never_seen", Kind: graph.KindConv2D}
 	if got := m.Exec(op, c.Device(0)); got != 0 {
 		t.Errorf("Exec of unobserved op = %v, want 0 (explore)", got)
 	}
 }
 
+// TestCompModelCrossDeviceFallback: on a single-class cluster a profile
+// taken on one device answers for the others.
 func TestCompModelCrossDeviceFallback(t *testing.T) {
 	c := twoGPUs(t)
-	m := NewCompModel()
-	m.Observe("conv1", 0, 10*time.Millisecond)
+	m := NewModel(c)
+	m.Comp.Observe("conv1", 0, 10*time.Millisecond)
 	op := &graph.Op{Name: "conv1", Kind: graph.KindConv2D}
 	if got := m.Exec(op, c.Device(1)); got != 10*time.Millisecond {
 		t.Errorf("cross-device Exec = %v, want 10ms", got)
@@ -57,8 +59,8 @@ func TestCompModelCrossDeviceFallback(t *testing.T) {
 
 func TestCompModelSplitScalingFallback(t *testing.T) {
 	c := twoGPUs(t)
-	m := NewCompModel()
-	m.Observe("conv1", 0, 100*time.Millisecond)
+	m := NewModel(c)
+	m.Comp.Observe("conv1", 0, 100*time.Millisecond)
 	sub := &graph.Op{
 		Name: "conv1/part0_of4", Kind: graph.KindConv2D,
 		SplitOf: "conv1", SplitN: 4,
@@ -73,28 +75,17 @@ func TestCompModelSplitScalingFallback(t *testing.T) {
 
 func TestCompModelExactKeyBeatsFallbacks(t *testing.T) {
 	c := twoGPUs(t)
-	m := NewCompModel()
-	m.Observe("conv1", 0, 10*time.Millisecond)
-	m.Observe("conv1", 1, 30*time.Millisecond)
+	m := NewModel(c)
+	m.Comp.Observe("conv1", 0, 10*time.Millisecond)
+	m.Comp.Observe("conv1", 1, 30*time.Millisecond)
 	op := &graph.Op{Name: "conv1", Kind: graph.KindConv2D}
 	if got := m.Exec(op, c.Device(1)); got != 30*time.Millisecond {
 		t.Errorf("Exec = %v, want exact key 30ms", got)
 	}
 }
 
-func TestCompModelMaxExec(t *testing.T) {
-	c := twoGPUs(t)
-	m := NewCompModel()
-	m.Observe("conv1", 0, 10*time.Millisecond)
-	m.Observe("conv1", 1, 30*time.Millisecond)
-	op := &graph.Op{Name: "conv1", Kind: graph.KindConv2D}
-	if got := m.MaxExec(op, c); got != 30*time.Millisecond {
-		t.Errorf("MaxExec = %v, want 30ms", got)
-	}
-}
-
 func TestCompModelStable(t *testing.T) {
-	m := NewCompModel()
+	m := NewCompModelFor(twoGPUs(t))
 	if m.Stable(2, 0.1) {
 		t.Error("empty model reported stable")
 	}
@@ -119,7 +110,7 @@ func TestCompModelCoverage(t *testing.T) {
 	a := g.MustAddOp(&graph.Op{Name: "a", Kind: graph.KindRelu})
 	b := g.MustAddOp(&graph.Op{Name: "b", Kind: graph.KindRelu})
 	g.MustConnect(a, b, 1)
-	m := NewCompModel()
+	m := NewCompModelFor(twoGPUs(t))
 	if got := m.Coverage(g); got != 0 {
 		t.Errorf("empty coverage = %v, want 0", got)
 	}

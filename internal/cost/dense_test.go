@@ -102,8 +102,8 @@ func TestIsFrozen(t *testing.T) {
 	if IsFrozen(m) {
 		t.Error("mutable Model reported frozen; cached tables would mask later observations")
 	}
-	if !IsFrozen(m.EstimatorSnapshot()) {
-		t.Error("EstimatorSnapshot not frozen")
+	if !IsFrozen(ReadSnapshot(m)) {
+		t.Error("ReadSnapshot(Model) not frozen")
 	}
 	if !IsFrozen(kernels.NewDefaultOracle(c)) {
 		t.Error("kernels.Oracle not frozen")
@@ -116,7 +116,7 @@ func TestIsFrozen(t *testing.T) {
 func TestSnapshotTableSurvivesLaterObservations(t *testing.T) {
 	c := twoServerCluster(t)
 	m := trainedModel(t, c)
-	snap := m.EstimatorSnapshot()
+	snap := ReadSnapshot(m)
 	op := &graph.Op{Name: "mm", Kind: graph.KindMatMul}
 	devs := c.Devices()
 

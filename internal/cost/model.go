@@ -25,14 +25,16 @@ func NewModel(cluster *device.Cluster) *Model {
 	}
 }
 
-// Exec predicts the run time of op on dev.
+// Exec predicts the run time of op on dev through the computation model's
+// memoised snapshot.
 func (m *Model) Exec(op *graph.Op, dev *device.Device) time.Duration {
-	return m.Comp.Exec(op, dev)
+	return m.Comp.Snapshot().Exec(op, dev)
 }
 
-// Comm predicts the transfer time between devices.
+// Comm predicts the transfer time between devices through the
+// communication model's memoised snapshot.
 func (m *Model) Comm(bytes int64, from, to *device.Device) time.Duration {
-	return m.Link.Comm(bytes, from, to)
+	return m.Link.Snapshot().Comm(bytes, from, to)
 }
 
 // EstimatorSnapshot is an immutable Estimator frozen from a Model: both
@@ -55,31 +57,13 @@ func (s *EstimatorSnapshot) Comm(bytes int64, from, to *device.Device) time.Dura
 	return s.Link.Comm(bytes, from, to)
 }
 
-// EstimatorSnapshot freezes both cost models into one immutable Estimator.
-func (m *Model) EstimatorSnapshot() *EstimatorSnapshot {
-	return &EstimatorSnapshot{
-		Comp: m.Comp.Snapshot(),
-		Link: m.Link.Snapshot(),
-	}
-}
-
-// Snapshotter is implemented by estimators that can freeze an immutable
-// read view of themselves (the learned Model; not the stateless Oracle,
-// which is already safe for concurrent readers).
-type Snapshotter interface {
-	ReadSnapshot() Estimator
-}
-
-// ReadSnapshot returns an Estimator safe for lock-free concurrent reads: the
-// frozen snapshot if est supports one, otherwise est itself. Strategy
+// ReadSnapshot returns an Estimator safe for lock-free concurrent reads: a
+// learned Model's memoised snapshots, otherwise est itself. Strategy
 // calculators call this once per calculation before fanning work out to
 // worker goroutines.
 func ReadSnapshot(est Estimator) Estimator {
-	if s, ok := est.(Snapshotter); ok {
-		return s.ReadSnapshot()
+	if m, ok := est.(*Model); ok {
+		return &EstimatorSnapshot{Comp: m.Comp.Snapshot(), Link: m.Link.Snapshot()}
 	}
 	return est
 }
-
-// ReadSnapshot implements Snapshotter.
-func (m *Model) ReadSnapshot() Estimator { return m.EstimatorSnapshot() }

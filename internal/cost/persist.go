@@ -184,41 +184,14 @@ func (m *Model) ReadJSON(r io.Reader) error {
 
 	m.Comp.mu.Lock()
 	for _, e := range doc.Comp {
-		k := compKey{name: e.Name, dev: e.Dev}
-		cur, ok := m.Comp.stats[k]
-		if !ok {
-			cur = &runningStat{}
-			m.Comp.stats[k] = cur
-		}
-		mergeStat(cur, e.N, e.Mean, e.M2)
-		if class := m.Comp.classOf(e.Dev); class != "" {
-			ck := classKey{name: e.Name, class: class}
-			cs, ok := m.Comp.byClass[ck]
-			if !ok {
-				cs = &runningStat{}
-				m.Comp.byClass[ck] = cs
-			}
-			mergeStat(cs, e.N, e.Mean, e.M2)
-		}
-		agg, ok := m.Comp.byName[e.Name]
-		if !ok {
-			agg = &runningStat{}
-			m.Comp.byName[e.Name] = agg
-		}
-		mergeStat(agg, e.N, e.Mean, e.M2)
+		m.Comp.fold(e.Name, e.Dev, func(s *runningStat) { mergeStat(s, e.N, e.Mean, e.M2) })
 	}
 	m.Comp.mu.Unlock()
 
 	m.Link.mu.Lock()
 	for _, e := range doc.Comm {
-		k := pairKey{from: e.From, to: e.To}
-		acc, ok := m.Link.pairs[k]
-		if !ok {
-			acc = &olsAccumulator{}
-			m.Link.pairs[k] = acc
-		}
-		mergeOLS(acc, e)
-		mergeOLS(m.Link.classes[m.Link.classOf(e.From, e.To)], e)
+		m.Link.fold(e.From, e.To, &olsAccumulator{n: e.N, sumX: e.SumX, sumY: e.SumY,
+			sumXX: e.SumXX, sumXY: e.SumXY, minX: e.MinX, maxX: e.MaxX})
 	}
 	m.Link.mu.Unlock()
 	return nil
@@ -238,26 +211,4 @@ func mergeStat(s *runningStat, n int64, mean, m2 float64) {
 	s.m2 += m2 + delta*delta*float64(s.n)*float64(n)/float64(total)
 	s.mean += delta * float64(n) / float64(total)
 	s.n = total
-}
-
-// mergeOLS combines a serialized accumulator into acc.
-func mergeOLS(acc *olsAccumulator, e jsonCommEntry) {
-	if e.N == 0 {
-		return
-	}
-	if acc.n == 0 {
-		acc.minX, acc.maxX = e.MinX, e.MaxX
-	} else {
-		if e.MinX < acc.minX {
-			acc.minX = e.MinX
-		}
-		if e.MaxX > acc.maxX {
-			acc.maxX = e.MaxX
-		}
-	}
-	acc.n += e.N
-	acc.sumX += e.SumX
-	acc.sumY += e.SumY
-	acc.sumXX += e.SumXX
-	acc.sumXY += e.SumXY
 }

@@ -19,29 +19,10 @@ func (m *Model) RemapDevices(cluster *device.Cluster, oldToNew []int) *Model {
 func (m *CompModel) remapInto(dst *CompModel, oldToNew []int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	dst.splitExponent = m.splitExponent
 	for k, s := range m.stats {
-		if k.dev < 0 || k.dev >= len(oldToNew) || oldToNew[k.dev] < 0 {
-			continue
+		if dev, ok := remapped(oldToNew, k.dev); ok {
+			dst.fold(k.name, dev, func(d *runningStat) { mergeStat(d, s.n, s.mean, s.m2) })
 		}
-		nk := compKey{name: k.name, dev: oldToNew[k.dev]}
-		cp := *s
-		dst.stats[nk] = &cp
-		if class := dst.classOf(nk.dev); class != "" {
-			ck := classKey{name: k.name, class: class}
-			cs, ok := dst.byClass[ck]
-			if !ok {
-				cs = &runningStat{}
-				dst.byClass[ck] = cs
-			}
-			mergeStat(cs, s.n, s.mean, s.m2)
-		}
-		agg, ok := dst.byName[k.name]
-		if !ok {
-			agg = &runningStat{}
-			dst.byName[k.name] = agg
-		}
-		mergeStat(agg, s.n, s.mean, s.m2)
 	}
 }
 
@@ -49,39 +30,18 @@ func (m *CommModel) remapInto(dst *CommModel, oldToNew []int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for k, acc := range m.pairs {
-		if k.from < 0 || k.from >= len(oldToNew) || oldToNew[k.from] < 0 {
-			continue
+		from, okFrom := remapped(oldToNew, k.from)
+		to, okTo := remapped(oldToNew, k.to)
+		if okFrom && okTo {
+			dst.fold(from, to, acc)
 		}
-		if k.to < 0 || k.to >= len(oldToNew) || oldToNew[k.to] < 0 {
-			continue
-		}
-		nk := pairKey{from: oldToNew[k.from], to: oldToNew[k.to]}
-		cp := *acc
-		dst.pairs[nk] = &cp
-		mergeOLSAcc(dst.classes[dst.classOf(nk.from, nk.to)], &cp)
 	}
 }
 
-// mergeOLSAcc folds src's accumulated sums into dst — exact for the sums the
-// fit uses; the first-observation bookkeeping keeps dst's values, which only
-// matters for degenerate single-size fits.
-func mergeOLSAcc(dst, src *olsAccumulator) {
-	if src.n == 0 {
-		return
+// remapped returns the new ID of old device dev, and whether it survived.
+func remapped(oldToNew []int, dev int) (int, bool) {
+	if dev < 0 || dev >= len(oldToNew) || oldToNew[dev] < 0 {
+		return 0, false
 	}
-	if dst.n == 0 {
-		*dst = *src
-		return
-	}
-	if src.minX < dst.minX {
-		dst.minX = src.minX
-	}
-	if src.maxX > dst.maxX {
-		dst.maxX = src.maxX
-	}
-	dst.n += src.n
-	dst.sumX += src.sumX
-	dst.sumY += src.sumY
-	dst.sumXX += src.sumXX
-	dst.sumXY += src.sumXY
+	return oldToNew[dev], true
 }

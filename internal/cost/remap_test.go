@@ -41,7 +41,7 @@ func TestRemapDevicesDropsDeadAndRenumbers(t *testing.T) {
 	// The any-device aggregate excludes the dead device's observation:
 	// mean of 10ms and 40ms.
 	op := &graph.Op{Name: "conv"}
-	if got := next.Comp.Exec(op, &device.Device{ID: 7}); got != 25*time.Millisecond {
+	if got := next.Exec(op, &device.Device{ID: 7}); got != 25*time.Millisecond {
 		t.Fatalf("byName fallback = %v, want 25ms", got)
 	}
 
@@ -52,7 +52,7 @@ func TestRemapDevicesDropsDeadAndRenumbers(t *testing.T) {
 	if _, ok := next.Link.Pair(0, 1); !ok {
 		t.Fatal("surviving pair 0->2 not renumbered to 0->1")
 	}
-	if pred := next.Link.Comm(1<<20, shrunk.Device(0), shrunk.Device(1)); pred != 2*time.Millisecond {
+	if pred := next.Comm(1<<20, shrunk.Device(0), shrunk.Device(1)); pred != 2*time.Millisecond {
 		t.Fatalf("remapped pair predicts %v, want 2ms", pred)
 	}
 }

@@ -46,39 +46,46 @@ var envelopeCases = []struct {
 	name, body string
 	status     int
 	model      string
+	sameAs     string
 }{
 	{"repeated object key decodes into the earlier value",
-		`{"cluster":{"servers":1},"cluster":{"gpusPerServer":2},"graphFingerprint":"ffff"}`, http.StatusNotFound, ""},
+		`{"cluster":{"servers":1},"cluster":{"gpusPerServer":2},"graphFingerprint":"ffff"}`, http.StatusNotFound, "", ""},
 	{"repeated scalar key takes the last value",
-		`{"model":"a","model":"b","cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff"}`, http.StatusNotFound, "b"},
+		`{"model":"a","model":"b","cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff"}`, http.StatusNotFound, "b", ""},
 	{"keys fold case, Unicode included",
-		`{"clu\u017fter":{"ſervers":1,"GPUSPERSERVER":2},"GraphFingerprint":"ffff"}`, http.StatusNotFound, ""},
-	{"top-level null is an empty request", `null`, http.StatusBadRequest, ""},
+		`{"clu\u017fter":{"ſervers":1,"GPUSPERSERVER":2},"GraphFingerprint":"ffff"}`, http.StatusNotFound, "", ""},
+	{"top-level null is an empty request", `null`, http.StatusBadRequest, "", ""},
 	{"whatever follows the first value is ignored",
-		`{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff"} junk`, http.StatusNotFound, ""},
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff"} junk`, http.StatusNotFound, "", ""},
 	{"1.0 is not an integer",
-		`{"cluster":{"servers":1.0,"gpusPerServer":2},"graphFingerprint":"ffff"}`, http.StatusBadRequest, ""},
+		`{"cluster":{"servers":1.0,"gpusPerServer":2},"graphFingerprint":"ffff"}`, http.StatusBadRequest, "", ""},
 	{"1e3 is not an integer",
-		`{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff","timeoutMs":1e3}`, http.StatusBadRequest, ""},
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff","timeoutMs":1e3}`, http.StatusBadRequest, "", ""},
 	{"an integer out of range",
-		`{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff","timeoutMs":9223372036854775808}`, http.StatusBadRequest, ""},
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff","timeoutMs":9223372036854775808}`, http.StatusBadRequest, "", ""},
 	{"null fields leave their values",
 		`{"model":"m","model":null,"cluster":{"servers":1,"gpusPerServer":2,"devices":null},"graphFingerprint":"ffff","costHash":null,"timeoutMs":null}`,
-		http.StatusNotFound, "m"},
+		http.StatusNotFound, "m", ""},
 	{"invalid UTF-8 and a lone surrogate read as U+FFFD",
 		"{\"model\":\"a\xff\\ud800\",\"cluster\":{\"servers\":1,\"gpusPerServer\":2},\"graphFingerprint\":\"ffff\"}",
-		http.StatusNotFound, "a\ufffd\ufffd"},
+		http.StatusNotFound, "a\ufffd\ufffd", ""},
 	{"a null graph is an empty graph",
-		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":null}`, http.StatusOK, ""},
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":null}`, http.StatusOK, "", ""},
 	{"an empty graph object is an empty graph",
-		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":{}}`, http.StatusOK, ""},
-	{"unknown field", `{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff","bogus":1}`, http.StatusBadRequest, ""},
-	{"unknown cluster field", `{"cluster":{"servers":1,"gpusPerServer":2,"gpus":2},"graphFingerprint":"ffff"}`, http.StatusBadRequest, ""},
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":{}}`, http.StatusOK, "", ""},
+	{"unknown field", `{"cluster":{"servers":1,"gpusPerServer":2},"graphFingerprint":"ffff","bogus":1}`, http.StatusBadRequest, "", ""},
+	{"unknown cluster field", `{"cluster":{"servers":1,"gpusPerServer":2,"gpus":2},"graphFingerprint":"ffff"}`, http.StatusBadRequest, "", ""},
 	{"graph nested past the depth limit",
 		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
-		http.StatusBadRequest, ""},
-	{"unfinished envelope", `{"cluster":{"servers":1,"gpusPerServer":2}`, http.StatusBadRequest, ""},
-	{"empty body", ``, http.StatusBadRequest, ""},
+		http.StatusBadRequest, "", ""},
+	{"unfinished envelope", `{"cluster":{"servers":1,"gpusPerServer":2}`, http.StatusBadRequest, "", ""},
+	{"empty body", ``, http.StatusBadRequest, "", ""},
+	{"a null seed is no seed",
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":{},"seed":null}`, http.StatusOK, "",
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":{}}`},
+	{"null costs are no costs",
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":{},"costs":null}`, http.StatusOK, "",
+		`{"cluster":{"servers":1,"gpusPerServer":2},"graph":{}}`},
 }
 
 func TestHTTPEnvelopeAcceptSet(t *testing.T) {
@@ -94,6 +101,15 @@ func TestHTTPEnvelopeAcceptSet(t *testing.T) {
 			if rec.Code != tc.status {
 				t.Fatalf("status = %d, want %d (body %s)", rec.Code, tc.status, rec.Body.Bytes())
 			}
+			if tc.sameAs != "" {
+				ref := httptest.NewRecorder()
+				New(Config{Strategist: stubStrategist(nil)}).Handler().ServeHTTP(ref,
+					httptest.NewRequest(http.MethodPost, "/v1/compute", strings.NewReader(tc.sameAs)))
+				if ref.Code != rec.Code || responseKey(t, ref) != responseKey(t, rec) {
+					t.Fatalf("answered %d %s, without the field %d %s",
+						rec.Code, rec.Body.Bytes(), ref.Code, ref.Body.Bytes())
+				}
+			}
 			if rec.Code != http.StatusOK {
 				return
 			}
@@ -107,6 +123,19 @@ func TestHTTPEnvelopeAcceptSet(t *testing.T) {
 			}
 		})
 	}
+}
+
+// responseKey returns the cache key of a 200 answer, and "" for any other.
+func responseKey(t *testing.T, rec *httptest.ResponseRecorder) string {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		return ""
+	}
+	var cr computeResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	return cr.Key
 }
 
 // TestHTTPBodyPastCap streams bodies that never end behind a first value

@@ -258,14 +258,14 @@ func (s *Service) buildRequest(wire *computeRequest) (*Request, error) {
 		}
 		req.Graph = g
 	}
-	if len(wire.Seed) > 0 {
+	if present(wire.Seed) {
 		var prior strategy.Artifact
 		if err := json.Unmarshal(wire.Seed, &prior); err != nil {
 			return nil, badRequest("parse seed strategy: %v", err)
 		}
 		req.Seed = &prior
 	}
-	if len(wire.Costs) > 0 {
+	if present(wire.Costs) {
 		cluster, err := device.NewCluster(shape.Servers, shape.GPUsPerServer)
 		if err != nil {
 			return nil, badRequest("cluster shape %+v: %v", shape, err)
@@ -278,6 +278,13 @@ func (s *Service) buildRequest(wire *computeRequest) (*Request, error) {
 		req.Est = model
 	}
 	return req, nil
+}
+
+// present reports whether a raw field holds a value: absent and null both
+// read as no value. (A null graph stays an empty graph, which the API has
+// always answered.)
+func present(raw []byte) bool {
+	return len(raw) > 0 && string(raw) != "null"
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
