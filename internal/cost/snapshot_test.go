@@ -47,12 +47,24 @@ func ladderModel(t *testing.T) (*Model, *device.Cluster) {
 	return m, c
 }
 
-// TestFallbackLadder pins every rung of the computation and communication
-// fallback ladders to a value worked out by hand, through the live Model
-// and through ReadSnapshot. The V100 peak is 15.7 TFLOPS and the T4's 8.1,
-// so cross-class scaling from a V100 to a T4 multiplies by 15.7/8.1; a
-// split in two scales by 2^-0.85 = 0.5547847…
-func TestFallbackLadder(t *testing.T) {
+// ladderEstimators are the live Model and its frozen snapshot: each must
+// answer every rung with the same hand-worked value.
+func ladderEstimators(m *Model) []struct {
+	name string
+	Estimator
+} {
+	return []struct {
+		name string
+		Estimator
+	}{{"Model", m}, {"ReadSnapshot", ReadSnapshot(m)}}
+}
+
+// TestCompSnapshotMatchesModel pins every rung of the computation fallback
+// ladder to a value worked out by hand, through the live Model and through
+// ReadSnapshot. The V100 peak is 15.7 TFLOPS and the T4's 8.1, so
+// cross-class scaling from a V100 to a T4 multiplies by 15.7/8.1; a split
+// in two scales by 2^-0.85 = 0.5547847…
+func TestCompSnapshotMatchesModel(t *testing.T) {
 	m, c := ladderModel(t)
 	v100, t4, v100b := c.Device(0), c.Device(1), c.Device(2)
 	joiner := &device.Device{ID: 3} // not in the model's cluster: no class
@@ -83,6 +95,22 @@ func TestFallbackLadder(t *testing.T) {
 		{"zero", &graph.Op{Name: "never-seen"}, v100, 0},
 		{"split of an unseen op", half("never-seen"), v100, 0},
 	}
+	for _, est := range ladderEstimators(m) {
+		for _, tc := range comp {
+			if got := est.Exec(tc.op, tc.dev); got != tc.want {
+				t.Errorf("%s: %s: Exec(%s, dev %d) = %d ns, want %d ns",
+					est.name, tc.rung, tc.op.Name, tc.dev.ID, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestCommSnapshotMatchesModel pins every rung of the communication
+// fallback ladder to a value worked out by hand, through the live Model and
+// through ReadSnapshot.
+func TestCommSnapshotMatchesModel(t *testing.T) {
+	m, c := ladderModel(t)
+	v100, t4, v100b := c.Device(0), c.Device(1), c.Device(2)
 	comm := []struct {
 		rung     string
 		bytes    int64
@@ -97,16 +125,7 @@ func TestFallbackLadder(t *testing.T) {
 		{"unobserved link class", 4 << 20, v100, v100b, 0},
 		{"same device", 4 << 20, v100, v100, 0},
 	}
-	for _, est := range []struct {
-		name string
-		Estimator
-	}{{"Model", m}, {"ReadSnapshot", ReadSnapshot(m)}} {
-		for _, tc := range comp {
-			if got := est.Exec(tc.op, tc.dev); got != tc.want {
-				t.Errorf("%s: %s: Exec(%s, dev %d) = %d ns, want %d ns",
-					est.name, tc.rung, tc.op.Name, tc.dev.ID, got, tc.want)
-			}
-		}
+	for _, est := range ladderEstimators(m) {
 		for _, tc := range comm {
 			if got := est.Comm(tc.bytes, tc.from, tc.to); got != tc.want {
 				t.Errorf("%s: %s: Comm(%d, %d->%d) = %d ns, want %d ns",
