@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fastt/internal/device"
+	"fastt/internal/runtime"
 )
 
 // LinearModel is a fitted tensor-size → transfer-time line: predicted
@@ -138,13 +139,20 @@ func linkClassOf(cluster *device.Cluster, from, to int) int {
 	}
 }
 
+// accsOf returns the accumulators of the pair from->to and of its link
+// class, creating the pair's on first use. The caller holds the write lock.
+func (m *CommModel) accsOf(from, to int) (pair, class *olsAccumulator) {
+	return entry(m.pairs, pairKey{from: from, to: to}), &m.classes[linkClassOf(m.cluster, from, to)]
+}
+
 // fold merges acc into the accumulators of the pair from->to and of its
-// link class, creating the pair's on first use, and drops the memoised
-// snapshot. Observations, loads and remaps all write through it. The
-// caller holds the write lock.
+// link class and drops the memoised snapshot. Observe, loads and remaps
+// write through it (observeTransfers through accsOf). The caller holds the
+// write lock.
 func (m *CommModel) fold(from, to int, acc *olsAccumulator) {
-	entry(m.pairs, pairKey{from: from, to: to}).merge(acc)
-	m.classes[linkClassOf(m.cluster, from, to)].merge(acc)
+	pair, class := m.accsOf(from, to)
+	pair.merge(acc)
+	class.merge(acc)
 	m.snap = nil
 }
 
@@ -158,6 +166,33 @@ func (m *CommModel) Observe(from, to int, bytes int64, d time.Duration) {
 	defer m.mu.Unlock()
 	one := sample(float64(bytes), float64(d)/float64(time.Second))
 	m.fold(from, to, &one)
+}
+
+// observeTransfers records one iteration's transfers, in order, under one
+// lock and one snapshot drop, exactly as a per-transfer Observe would. The
+// consumers of one copy are consecutive transfers on one pair, so the
+// pair's accumulators are looked up once per run of equal pairs.
+func (m *CommModel) observeTransfers(trs []runtime.Transfer) {
+	if len(trs) == 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var last pairKey
+	var pair, class *olsAccumulator
+	for _, tr := range trs {
+		if tr.From == tr.To {
+			continue
+		}
+		if k := (pairKey{from: tr.From, to: tr.To}); pair == nil || k != last {
+			last = k
+			pair, class = m.accsOf(tr.From, tr.To)
+		}
+		one := sample(float64(tr.Bytes), float64(tr.End-tr.Start)/float64(time.Second))
+		pair.merge(&one)
+		class.merge(&one)
+	}
+	m.snap = nil
 }
 
 // CommSnapshot is an immutable view of a CommModel: every per-pair and

@@ -8,6 +8,7 @@ import (
 
 	"fastt/internal/device"
 	"fastt/internal/graph"
+	"fastt/internal/runtime"
 )
 
 // compKey identifies a computation cost entry: the paper keys the model on
@@ -64,14 +65,19 @@ func (l *classLayout) classOf(dev int) string {
 //
 // CompModel is safe for concurrent use.
 type CompModel struct {
-	mu     sync.RWMutex
-	stats  map[compKey]*runningStat
-	byName map[string]*runningStat // any-device aggregate per op name
-	// byClass pools observations across same-class devices.
-	byClass map[classKey]*runningStat
+	mu    sync.RWMutex
+	stats map[compKey]*runningStat
+	// byName and byClass pool observations across all devices and across
+	// same-class devices. They keep only (n, mean): predictions read their
+	// means and nothing reads their spread.
+	byName  map[string]*meanStat
+	byClass map[classKey]*meanStat
 	classLayout
 	// snap memoises Snapshot; every write clears it under the write lock.
 	snap *CompSnapshot
+	// spans caches the statistics of the last observed graph's keys for
+	// observeSpans.
+	spans spanCache
 }
 
 // NewCompModelFor returns an empty computation cost model keyed to the
@@ -79,8 +85,8 @@ type CompModel struct {
 func NewCompModelFor(cluster *device.Cluster) *CompModel {
 	m := &CompModel{
 		stats:   make(map[compKey]*runningStat),
-		byName:  make(map[string]*runningStat),
-		byClass: make(map[classKey]*runningStat),
+		byName:  make(map[string]*meanStat),
+		byClass: make(map[classKey]*meanStat),
 		classLayout: classLayout{
 			devClass:   make([]string, cluster.NumDevices()),
 			classFLOPS: make(map[string]float64),
@@ -107,24 +113,92 @@ func entry[K comparable, V any](m map[K]*V, k K) *V {
 	return v
 }
 
-// fold applies f to the exact, same-class and any-device statistics of the
-// named op on dev, creating each on first use, and drops the memoised
-// snapshot. Observations, loads and remaps all write through it. The
-// caller holds the write lock.
-func (m *CompModel) fold(name string, dev int, f func(*runningStat)) {
-	f(entry(m.stats, compKey{name: name, dev: dev}))
-	if class := m.classOf(dev); class != "" {
-		f(entry(m.byClass, classKey{name: name, class: class}))
+// keyStats is one (op name, device) key's statistics: exact, same-class and
+// any-device. Every observation, load and remap updates all three.
+type keyStats struct {
+	exact *runningStat
+	class *meanStat // nil for a device outside the model's cluster
+	name  *meanStat
+}
+
+// add records one observation x.
+func (st keyStats) add(x float64) {
+	st.exact.add(x)
+	if st.class != nil {
+		st.class.add(x)
 	}
-	f(entry(m.byName, name))
-	m.snap = nil
+	st.name.add(x)
+}
+
+// merge folds saved statistics (n, mean, m2) into all three.
+func (st keyStats) merge(n int64, mean, m2 float64) {
+	mergeStat(st.exact, n, mean, m2)
+	if st.class != nil {
+		st.class.merge(n, mean)
+	}
+	st.name.merge(n, mean)
+}
+
+// statsOf returns the statistics of the named op on dev, creating each on
+// first use. The caller holds the write lock, and drops the memoised
+// snapshot once it has written through them.
+func (m *CompModel) statsOf(name string, dev int) keyStats {
+	st := keyStats{
+		exact: entry(m.stats, compKey{name: name, dev: dev}),
+		name:  entry(m.byName, name),
+	}
+	if class := m.classOf(dev); class != "" {
+		st.class = entry(m.byClass, classKey{name: name, class: class})
+	}
+	return st
 }
 
 // Observe records an execution of the named op on device dev.
 func (m *CompModel) Observe(name string, dev int, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.fold(name, dev, func(s *runningStat) { s.add(float64(d)) })
+	m.statsOf(name, dev).add(float64(d))
+	m.snap = nil
+}
+
+// spanCache resolves the (op, device) keys of one graph's spans to their
+// statistics, so a profiled iteration hashes each key once per graph
+// version instead of once per span. It holds the graph, so the address it
+// is keyed on cannot be recycled for another graph while the entry lives.
+type spanCache struct {
+	g       *graph.Graph
+	version uint64
+	// ops maps op ID -> the statistics of the device the op was last
+	// observed on; exact is nil until the op's first observation.
+	ops []cachedStats
+}
+
+type cachedStats struct {
+	dev int
+	keyStats
+}
+
+// observeSpans records one iteration's executions of g's ops, in span
+// order, under one lock and one snapshot drop. Each key's statistics see
+// the same updates in the same order as a per-span Observe.
+func (m *CompModel) observeSpans(g *graph.Graph, spans []runtime.Span) {
+	if len(spans) == 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := &m.spans
+	if c.g != g || c.version != g.Version() {
+		*c = spanCache{g: g, version: g.Version(), ops: make([]cachedStats, g.NumOps())}
+	}
+	for _, sp := range spans {
+		e := &c.ops[sp.Op]
+		if e.exact == nil || e.dev != sp.Device {
+			*e = cachedStats{dev: sp.Device, keyStats: m.statsOf(g.Op(sp.Op).Name, sp.Device)}
+		}
+		e.add(float64(sp.End - sp.Start))
+	}
+	m.snap = nil
 }
 
 // Lookup returns the mean observed time for (name, dev) and whether any

@@ -39,6 +39,33 @@ func (s *runningStat) add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
+// meanStat accumulates a mean incrementally: the (n, mean) half of
+// runningStat, updated by the same arithmetic so the two means agree bit
+// for bit.
+type meanStat struct {
+	n    int64
+	mean float64
+}
+
+func (s *meanStat) add(x float64) {
+	s.n++
+	s.mean += (x - s.mean) / float64(s.n)
+}
+
+// merge combines a saved (n, mean) into s, as mergeStat does the mean.
+func (s *meanStat) merge(n int64, mean float64) {
+	if n == 0 {
+		return
+	}
+	if s.n == 0 {
+		s.n, s.mean = n, mean
+		return
+	}
+	total := s.n + n
+	s.mean += (mean - s.mean) * float64(n) / float64(total)
+	s.n = total
+}
+
 func (s *runningStat) variance() float64 {
 	if s.n < 2 {
 		return 0

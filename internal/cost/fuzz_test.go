@@ -21,7 +21,8 @@ func decodeModelOracle(data []byte) (jsonModel, error) {
 // FuzzModelReadJSON asserts the cost-model loader's contract on arbitrary
 // bytes: it never panics, it accepts exactly the documents the
 // encoding/json oracle accepts and decodes them to the same document, and
-// any snapshot it merges serializes canonically — writing, re-reading into a
+// any snapshot it merges serializes canonically — WriteJSON writes the
+// bytes its encoding/json oracle writes, and writing, re-reading into a
 // fresh model, and writing again produces identical bytes. A model that
 // was snapshotted before the load must end up where the fresh one does:
 // the same bytes and, for every loaded key, the same predictions, so the
@@ -56,6 +57,7 @@ func FuzzModelReadJSON(f *testing.F) {
 		if err := m.ReadJSON(bytes.NewReader(data)); err != nil {
 			return
 		}
+		checkWriteMatchesOracle(t, m)
 		var first bytes.Buffer
 		if err := m.WriteJSON(&first); err != nil {
 			t.Fatalf("accepted model does not serialize: %v", err)

@@ -5,6 +5,7 @@ import (
 
 	"fastt/internal/device"
 	"fastt/internal/graph"
+	"fastt/internal/runtime"
 )
 
 // Model bundles the computation and communication cost models into the
@@ -23,6 +24,17 @@ func NewModel(cluster *device.Cluster) *Model {
 		Comp: NewCompModelFor(cluster),
 		Link: NewCommModel(cluster),
 	}
+}
+
+// ObserveRun feeds one profiled iteration of g — its spans and transfers,
+// the RunMetadata a runtime.Executor returns — into both models: one lock
+// and one snapshot drop per model, and each (op, device) key resolved once
+// per graph version rather than hashed per span. The models end exactly
+// where per-span Comp.Observe and per-transfer Link.Observe calls in the
+// same order would leave them.
+func (m *Model) ObserveRun(g *graph.Graph, res *runtime.Result) {
+	m.Comp.observeSpans(g, res.Spans)
+	m.Link.observeTransfers(res.Transfers)
 }
 
 // Exec predicts the run time of op on dev through the computation model's

@@ -1,12 +1,14 @@
 package cost
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"fastt/internal/jsonread"
+	"fastt/internal/jsonwrite"
 )
 
 // Persistence: FastT's cost models are expensive to bootstrap (several
@@ -46,43 +48,130 @@ type jsonModel struct {
 // WriteJSON serializes both cost models. The output is deterministic
 // (entries sorted by key), so the same learned state always produces the
 // same bytes — strategy artifacts hash this output as their cost-model
-// provenance.
+// provenance. The bytes are exactly what encoding/json's Encoder writes for
+// jsonModel (null for an absent entry list, encoding/json's float notation
+// and string escaping, a trailing newline), appended into one small buffer
+// that is flushed as it fills. A non-finite statistic, which encoding/json
+// refuses, fails the write before any byte reaches w.
 func (m *Model) WriteJSON(w io.Writer) error {
-	doc := jsonModel{}
-
-	m.Comp.mu.RLock()
-	for k, s := range m.Comp.stats {
-		doc.Comp = append(doc.Comp, jsonCompEntry{
-			Name: k.name, Dev: k.dev, N: s.n, Mean: s.mean, M2: s.m2,
-		})
-	}
-	m.Comp.mu.RUnlock()
-	sort.Slice(doc.Comp, func(i, j int) bool {
-		if doc.Comp[i].Name != doc.Comp[j].Name {
-			return doc.Comp[i].Name < doc.Comp[j].Name
+	comp := m.Comp.sortedEntries()
+	comm := m.Link.sortedPairs()
+	for _, c := range comp {
+		if err := jsonwrite.Finite(c.mean, c.m2); err != nil {
+			return fmt.Errorf("cost entry %q on device %d: %w", c.name, c.dev, err)
 		}
-		return doc.Comp[i].Dev < doc.Comp[j].Dev
-	})
-
-	m.Link.mu.RLock()
-	for k, acc := range m.Link.pairs {
-		doc.Comm = append(doc.Comm, jsonCommEntry{
-			From: k.from, To: k.to, N: acc.n,
-			SumX: acc.sumX, SumY: acc.sumY,
-			SumXX: acc.sumXX, SumXY: acc.sumXY,
-			MinX: acc.minX, MaxX: acc.maxX,
-		})
 	}
-	m.Link.mu.RUnlock()
-	sort.Slice(doc.Comm, func(i, j int) bool {
-		if doc.Comm[i].From != doc.Comm[j].From {
-			return doc.Comm[i].From < doc.Comm[j].From
+	for _, p := range comm {
+		if err := jsonwrite.Finite(p.sumX, p.sumY, p.sumXX, p.sumXY, p.minX, p.maxX); err != nil {
+			return fmt.Errorf("comm entry %d->%d: %w", p.from, p.to, err)
 		}
-		return doc.Comm[i].To < doc.Comm[j].To
-	})
+	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	e := jsonwrite.New(w)
+	e.Raw(`{"comp":`)
+	if len(comp) == 0 {
+		e.Raw("null")
+	}
+	for i, c := range comp {
+		if i == 0 {
+			e.Raw(`[{"name":`)
+		} else {
+			e.Raw(`},{"name":`)
+		}
+		e.String(c.name)
+		e.Raw(`,"dev":`)
+		e.Int(int64(c.dev))
+		e.Raw(`,"n":`)
+		e.Int(c.n)
+		e.Raw(`,"mean":`)
+		e.Float(c.mean)
+		e.Raw(`,"m2":`)
+		e.Float(c.m2)
+	}
+	if len(comp) > 0 {
+		e.Raw("}]")
+	}
+	e.Raw(`,"comm":`)
+	if len(comm) == 0 {
+		e.Raw("null")
+	}
+	for i, p := range comm {
+		if i == 0 {
+			e.Raw(`[{"from":`)
+		} else {
+			e.Raw(`},{"from":`)
+		}
+		e.Int(int64(p.from))
+		e.Raw(`,"to":`)
+		e.Int(int64(p.to))
+		e.Raw(`,"n":`)
+		e.Int(p.n)
+		e.Raw(`,"sumX":`)
+		e.Float(p.sumX)
+		e.Raw(`,"sumY":`)
+		e.Float(p.sumY)
+		e.Raw(`,"sumXX":`)
+		e.Float(p.sumXX)
+		e.Raw(`,"sumXY":`)
+		e.Float(p.sumXY)
+		e.Raw(`,"minX":`)
+		e.Float(p.minX)
+		e.Raw(`,"maxX":`)
+		e.Float(p.maxX)
+	}
+	if len(comm) > 0 {
+		e.Raw("}]")
+	}
+	e.Raw("}\n")
+	return e.Flush()
+}
+
+// compEntry is one computation-model key with a copy of its statistics.
+type compEntry struct {
+	compKey
+	runningStat
+}
+
+// sortedEntries copies the per-(name, device) statistics out under the read
+// lock, sorted by name, then device.
+func (m *CompModel) sortedEntries() []compEntry {
+	m.mu.RLock()
+	entries := make([]compEntry, 0, len(m.stats))
+	for k, st := range m.stats {
+		entries = append(entries, compEntry{k, *st})
+	}
+	m.mu.RUnlock()
+	slices.SortFunc(entries, func(a, b compEntry) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.dev, b.dev)
+	})
+	return entries
+}
+
+// pairEntry is one communication-model pair with a copy of its accumulator.
+type pairEntry struct {
+	pairKey
+	olsAccumulator
+}
+
+// sortedPairs copies the per-pair accumulators out under the read lock,
+// sorted by source, then destination.
+func (m *CommModel) sortedPairs() []pairEntry {
+	m.mu.RLock()
+	pairs := make([]pairEntry, 0, len(m.pairs))
+	for k, acc := range m.pairs {
+		pairs = append(pairs, pairEntry{k, *acc})
+	}
+	m.mu.RUnlock()
+	slices.SortFunc(pairs, func(a, b pairEntry) int {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.to, b.to)
+	})
+	return pairs
 }
 
 var (
@@ -184,8 +273,9 @@ func (m *Model) ReadJSON(r io.Reader) error {
 
 	m.Comp.mu.Lock()
 	for _, e := range doc.Comp {
-		m.Comp.fold(e.Name, e.Dev, func(s *runningStat) { mergeStat(s, e.N, e.Mean, e.M2) })
+		m.Comp.statsOf(e.Name, e.Dev).merge(e.N, e.Mean, e.M2)
 	}
+	m.Comp.snap = nil
 	m.Comp.mu.Unlock()
 
 	m.Link.mu.Lock()

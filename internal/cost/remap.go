@@ -16,24 +16,23 @@ func (m *Model) RemapDevices(cluster *device.Cluster, oldToNew []int) *Model {
 	return next
 }
 
+// remapInto and CommModel.remapInto merge in sorted key order, so the
+// pooled aggregates of two remaps of one model agree bit for bit.
 func (m *CompModel) remapInto(dst *CompModel, oldToNew []int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for k, s := range m.stats {
-		if dev, ok := remapped(oldToNew, k.dev); ok {
-			dst.fold(k.name, dev, func(d *runningStat) { mergeStat(d, s.n, s.mean, s.m2) })
+	for _, e := range m.sortedEntries() {
+		if dev, ok := remapped(oldToNew, e.dev); ok {
+			dst.statsOf(e.name, dev).merge(e.n, e.mean, e.m2)
 		}
 	}
+	dst.snap = nil
 }
 
 func (m *CommModel) remapInto(dst *CommModel, oldToNew []int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for k, acc := range m.pairs {
-		from, okFrom := remapped(oldToNew, k.from)
-		to, okTo := remapped(oldToNew, k.to)
+	for _, p := range m.sortedPairs() {
+		from, okFrom := remapped(oldToNew, p.from)
+		to, okTo := remapped(oldToNew, p.to)
 		if okFrom && okTo {
-			dst.fold(from, to, acc)
+			dst.fold(from, to, &p.olsAccumulator)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package cost
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -70,5 +72,48 @@ func TestRemapDevicesEmptyModel(t *testing.T) {
 	next := m.RemapDevices(shrunk, mapping)
 	if next.Comp.NumEntries() != 0 || next.Link.NumPairs() != 0 {
 		t.Fatal("empty model grew entries in remap")
+	}
+}
+
+// TestRemapDevicesDeterministic remaps one model twenty times and requires
+// bit-identical pooled aggregates and WriteJSON bytes every time: the
+// surviving entries merge into the per-name, per-class and link-class
+// aggregates in key order, not in map order.
+func TestRemapDevicesDeterministic(t *testing.T) {
+	c, err := device.SingleServer(8)
+	if err != nil {
+		t.Fatalf("SingleServer: %v", err)
+	}
+	m := NewModel(c)
+	for i := 0; i < 200; i++ {
+		name := []string{"conv", "fc", "relu", "pool"}[i%4]
+		m.Comp.Observe(name, i/4%8, time.Duration(1000003*(i+1)%7919+1)*time.Microsecond/7)
+		if from, to := i%8, (i*5+3)%8; from != to {
+			m.Link.Observe(from, to, int64(i+1)*4099, time.Duration(i*i%997+1)*time.Microsecond/3)
+		}
+	}
+	shrunk, mapping, err := c.Without(3)
+	if err != nil {
+		t.Fatalf("Without: %v", err)
+	}
+	first := m.RemapDevices(shrunk, mapping)
+	var want bytes.Buffer
+	if err := first.WriteJSON(&want); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		next := m.RemapDevices(shrunk, mapping)
+		if !reflect.DeepEqual(next.Comp.byName, first.Comp.byName) ||
+			!reflect.DeepEqual(next.Comp.byClass, first.Comp.byClass) ||
+			next.Link.classes != first.Link.classes {
+			t.Fatalf("remap %d pooled different aggregates", i)
+		}
+		var got bytes.Buffer
+		if err := next.WriteJSON(&got); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("remap %d wrote different bytes", i)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package cost
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"fastt/internal/device"
 	"fastt/internal/graph"
+	"fastt/internal/runtime"
 )
 
 func snapCluster(t *testing.T) *device.Cluster {
@@ -241,18 +243,46 @@ func TestSnapshotMemo(t *testing.T) {
 	}
 }
 
-// TestSnapshotConcurrentWithObserve drives concurrent writers — Observe and
-// ReadJSON — against readers that predict through the live model's memo
-// and through ReadSnapshot; the race detector is the assertion.
+// TestSnapshotConcurrentWithObserve drives concurrent writers — Observe,
+// ObserveRun over two graphs and ReadJSON — against readers that predict
+// through the live model's memo and through ReadSnapshot, or write it out;
+// the race detector is the assertion.
 func TestSnapshotConcurrentWithObserve(t *testing.T) {
 	c := snapCluster(t)
 	m := NewModel(c)
 	op := &graph.Op{Name: "conv1"}
 	const doc = `{"comp":[{"name":"conv1","dev":1,"n":2,"mean":5e4,"m2":1}],` +
 		`"comm":[{"from":1,"to":0,"n":1,"sumX":1024,"sumY":1e-6,"sumXX":1048576,"sumXY":1.024e-3,"minX":1024,"maxX":1024}]}`
+	var graphs [2]*graph.Graph
+	for i := range graphs {
+		g := graph.New()
+		a := g.MustAddOp(&graph.Op{Name: "conv1", Kind: graph.KindConv2D})
+		b := g.MustAddOp(&graph.Op{Name: fmt.Sprintf("fc%d", i), Kind: graph.KindMatMul})
+		g.MustConnect(a, b, 1<<10)
+		graphs[i] = g
+	}
+	res := &runtime.Result{
+		Spans:     []runtime.Span{{Op: 0, Device: 0, End: time.Millisecond}, {Op: 1, Device: 1, Start: 2 * time.Millisecond, End: 3 * time.Millisecond}},
+		Transfers: []runtime.Transfer{{From: 0, To: 1, Producer: 0, Consumer: 1, Bytes: 1 << 10, Start: time.Millisecond, End: 2 * time.Millisecond}},
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		wg.Add(3)
+		wg.Add(5)
+		go func(seed int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				m.ObserveRun(graphs[(seed+i)%2], res)
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if err := m.WriteJSON(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {

@@ -181,6 +181,15 @@ func (g *Graph) InEdges(id int) []Edge {
 	return g.edgeList(g.in[id])
 }
 
+// OutEdgeIndex returns the indices into Edges of op id's outgoing edges, in
+// insertion order, without copying: hot loops walk them allocation-free.
+// The returned slice is shared; callers must not mutate it.
+func (g *Graph) OutEdgeIndex(id int) []int { return g.out[id] }
+
+// InEdgeIndex returns the indices into Edges of op id's incoming edges, in
+// insertion order, shared like OutEdgeIndex's.
+func (g *Graph) InEdgeIndex(id int) []int { return g.in[id] }
+
 func (g *Graph) edgeList(idx []int) []Edge {
 	if len(idx) == 0 {
 		return nil

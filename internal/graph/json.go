@@ -2,12 +2,11 @@ package graph
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"fastt/internal/jsonread"
+	"fastt/internal/jsonwrite"
 )
 
 // jsonOp is the serialized form of an Op.
@@ -59,16 +58,16 @@ var _kindByName = func() map[string]OpKind {
 // buffer that is flushed as it fills, so writing a graph of any size
 // allocates O(1).
 func (g *Graph) WriteJSON(w io.Writer) error {
-	e := jsonWriter{w: w, buf: make([]byte, 0, jsonFlushAt+1024)}
-	e.raw("{\n  \"ops\": [")
+	e := jsonWriter{jsonwrite.New(w)}
+	e.Raw("{\n  \"ops\": [")
 	for i, op := range g.ops {
 		if i > 0 {
-			e.raw(",")
+			e.Raw(",")
 		}
-		e.raw("\n    {\n      \"name\": ")
-		e.str(op.Name)
-		e.raw(",\n      \"kind\": ")
-		e.str(op.Kind.String())
+		e.Raw("\n    {\n      \"name\": ")
+		e.String(op.Name)
+		e.Raw(",\n      \"kind\": ")
+		e.String(op.Kind.String())
 		e.optInt("flops", op.FLOPs)
 		e.optInt("paramBytes", op.ParamBytes)
 		e.optInt("outputBytes", op.OutputBytes)
@@ -80,29 +79,29 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		e.optInt("splitN", int64(op.SplitN))
 		e.optStr("gradFor", op.GradFor)
 		e.optStr("colocateWith", op.ColocateWith)
-		e.raw("\n    }")
+		e.Raw("\n    }")
 	}
 	if len(g.ops) > 0 {
-		e.raw("\n  ")
+		e.Raw("\n  ")
 	}
-	e.raw("],\n  \"edges\": [")
+	e.Raw("],\n  \"edges\": [")
 	for i, ed := range g.edges {
 		if i > 0 {
-			e.raw(",")
+			e.Raw(",")
 		}
-		e.raw("\n    {\n      \"from\": ")
-		e.str(g.ops[ed.From].Name)
-		e.raw(",\n      \"to\": ")
-		e.str(g.ops[ed.To].Name)
-		e.raw(",\n      \"bytes\": ")
-		e.buf = strconv.AppendInt(e.buf, ed.Bytes, 10)
-		e.raw("\n    }")
+		e.Raw("\n    {\n      \"from\": ")
+		e.String(g.ops[ed.From].Name)
+		e.Raw(",\n      \"to\": ")
+		e.String(g.ops[ed.To].Name)
+		e.Raw(",\n      \"bytes\": ")
+		e.Int(ed.Bytes)
+		e.Raw("\n    }")
 	}
 	if len(g.edges) > 0 {
-		e.raw("\n  ")
+		e.Raw("\n  ")
 	}
-	e.raw("]\n}\n")
-	return e.flush()
+	e.Raw("]\n}\n")
+	return e.Flush()
 }
 
 // graphDigest is a memoised Digest and the graph version it was taken at.
@@ -129,49 +128,9 @@ func (g *Graph) Digest() [sha256.Size]byte {
 	return d.sum
 }
 
-// jsonFlushAt is the buffered size past which jsonWriter hands its bytes to
-// the underlying writer.
-const jsonFlushAt = 16 << 10
-
-// jsonWriter appends WriteJSON's document into buf and flushes it to w in
-// jsonFlushAt-sized chunks. The first write error sticks and ends output.
-type jsonWriter struct {
-	w   io.Writer
-	buf []byte
-	err error
-}
-
-func (e *jsonWriter) raw(s string) {
-	e.buf = append(e.buf, s...)
-	if len(e.buf) >= jsonFlushAt {
-		e.flush()
-	}
-}
-
-func (e *jsonWriter) flush() error {
-	if e.err == nil && len(e.buf) > 0 {
-		_, e.err = e.w.Write(e.buf)
-	}
-	e.buf = e.buf[:0]
-	return e.err
-}
-
-// str appends s as a JSON string literal. Printable ASCII other than the
-// characters encoding/json escapes is copied as is; anything else — quotes,
-// backslashes, <>&, control bytes, non-ASCII — is rare in op names and is
-// delegated to json.Marshal so the escaping rules stay encoding/json's.
-func (e *jsonWriter) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			e.buf = append(e.buf, q...)
-			return
-		}
-	}
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, s...)
-	e.buf = append(e.buf, '"')
-}
+// jsonWriter appends WriteJSON's document: the shared append encoder plus
+// the graph document's two-space-indented omitempty fields.
+type jsonWriter struct{ jsonwrite.Writer }
 
 // optInt appends an omitempty integer field.
 func (e *jsonWriter) optInt(key string, v int64) {
@@ -179,7 +138,7 @@ func (e *jsonWriter) optInt(key string, v int64) {
 		return
 	}
 	e.key(key)
-	e.buf = strconv.AppendInt(e.buf, v, 10)
+	e.Int(v)
 }
 
 // optStr appends an omitempty string field.
@@ -188,13 +147,13 @@ func (e *jsonWriter) optStr(key, v string) {
 		return
 	}
 	e.key(key)
-	e.str(v)
+	e.String(v)
 }
 
 func (e *jsonWriter) key(key string) {
-	e.buf = append(e.buf, ",\n      \""...)
-	e.buf = append(e.buf, key...)
-	e.buf = append(e.buf, "\": "...)
+	e.Raw(",\n      \"")
+	e.Raw(key)
+	e.Raw("\": ")
 }
 
 var (

@@ -63,8 +63,14 @@ func (r *Reader) fail(format string, args ...any) {
 func (r *Reader) Unknown(key []byte) { r.fail("unknown field %q", key) }
 
 // ReadAll reads r to EOF into one buffer, sized up front when r reports its
-// unread length (bytes.Reader, strings.Reader, bytes.Buffer).
+// unread length (bytes.Reader, strings.Reader). A *bytes.Buffer's unread
+// bytes are taken as they are, without a copy, and the buffer is drained;
+// the slice aliases the buffer's storage, so a decoder reading it must not
+// keep it, or any sub-slice of it, once it returns.
 func ReadAll(r io.Reader) ([]byte, error) {
+	if b, ok := r.(*bytes.Buffer); ok {
+		return b.Next(b.Len()), nil
+	}
 	if l, ok := r.(interface{ Len() int }); ok {
 		buf := make([]byte, l.Len())
 		n, err := io.ReadFull(r, buf)

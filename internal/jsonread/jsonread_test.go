@@ -197,3 +197,21 @@ func TestReadAll(t *testing.T) {
 		t.Errorf("ReadAll error = %v, want %v", err, iotest.ErrTimeout)
 	}
 }
+
+// TestReadAllBufferAliases pins that a *bytes.Buffer's bytes are taken
+// without a copy and the buffer is drained, as a read to EOF drains it.
+func TestReadAllBufferAliases(t *testing.T) {
+	data := []byte(`prefix{"s":"x"}`)
+	buf := bytes.NewBuffer(data)
+	buf.Next(len("prefix"))
+	got, err := ReadAll(buf)
+	if err != nil || string(got) != `{"s":"x"}` {
+		t.Fatalf("ReadAll = %q, %v", got, err)
+	}
+	if &got[0] != &data[len("prefix")] {
+		t.Error("ReadAll copied a *bytes.Buffer's bytes")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("buffer keeps %d unread bytes after ReadAll", buf.Len())
+	}
+}

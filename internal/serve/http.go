@@ -230,7 +230,9 @@ func decodeRequest(body []byte) (computeRequest, error) {
 
 // buildRequest converts the wire form into a service request, parsing the
 // graph and costs only when present — a fingerprint-carrying warm request
-// allocates next to nothing before the cache answers it.
+// allocates next to nothing before the cache answers it. Both decoders read
+// their sub-slice of the body in place (a *bytes.Buffer hands jsonread its
+// bytes uncopied) and keep nothing of it.
 func (s *Service) buildRequest(wire *computeRequest) (*Request, error) {
 	shape := wire.Cluster
 	if shape.Devices > 0 {
@@ -249,7 +251,7 @@ func (s *Service) buildRequest(wire *computeRequest) (*Request, error) {
 		CostHash:    wire.CostHash,
 	}
 	if len(wire.Graph) > 0 {
-		g, err := graph.ReadJSON(bytes.NewReader(wire.Graph))
+		g, err := graph.ReadJSON(bytes.NewBuffer(wire.Graph))
 		if err != nil {
 			return nil, badRequest("parse graph: %v", err)
 		}
@@ -271,7 +273,7 @@ func (s *Service) buildRequest(wire *computeRequest) (*Request, error) {
 			return nil, badRequest("cluster shape %+v: %v", shape, err)
 		}
 		model := cost.NewModel(cluster)
-		if err := model.ReadJSON(bytes.NewReader(wire.Costs)); err != nil {
+		if err := model.ReadJSON(bytes.NewBuffer(wire.Costs)); err != nil {
 			return nil, badRequest("parse costs: %v", err)
 		}
 		req.Cluster = cluster

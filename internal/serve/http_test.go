@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"fastt/internal/cost"
 	"fastt/internal/graph"
 	"fastt/internal/strategy"
 )
@@ -324,5 +325,37 @@ func TestHTTPHerdCoalesces(t *testing.T) {
 	}
 	if st.Coalesced != herd-1 || st.Searches != 1 {
 		t.Errorf("stats coalesced = %d, searches = %d; want %d and 1", st.Coalesced, st.Searches, herd-1)
+	}
+}
+
+// TestBuildRequestKeepsNoBodyBytes decodes a request whose graph and costs
+// the decoders read in place, then overwrites the body: the built request
+// must not change, so neither decoder kept a slice of it.
+func TestBuildRequestKeepsNoBodyBytes(t *testing.T) {
+	g := tinyGraph(t)
+	model := cost.NewModel(testCluster(t, 2))
+	model.Comp.Observe(g.Op(0).Name, 1, 1500)
+	model.Link.Observe(0, 1, 1<<20, 4000)
+	var costs bytes.Buffer
+	if err := model.WriteJSON(&costs); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	body := []byte(`{"cluster":{"servers":1,"gpusPerServer":2},"graph":` + graphJSON(t, g) + `,"costs":` + costs.String() + `}`)
+	wire, err := decodeRequest(body)
+	if err != nil {
+		t.Fatalf("decodeRequest: %v", err)
+	}
+	req, err := New(Config{}).buildRequest(&wire)
+	if err != nil {
+		t.Fatalf("buildRequest: %v", err)
+	}
+	for i := range body {
+		body[i] = 'x'
+	}
+	if got, want := graphJSON(t, req.Graph), graphJSON(t, g); got != want {
+		t.Fatalf("decoded graph changed with the body:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := CostHashOf(req.Est), CostHashOf(model); got != want {
+		t.Fatalf("decoded costs changed with the body: hash %s, want %s", got, want)
 	}
 }

@@ -778,12 +778,7 @@ func (s *Session) profile(a active) (time.Duration, *runtime.OOMError, error) {
 
 // observe feeds one iteration's profile into the cost models.
 func (s *Session) observe(g *graph.Graph, res *runtime.Result) {
-	for _, span := range res.Spans {
-		s.costs.Comp.Observe(g.Op(span.Op).Name, span.Device, span.End-span.Start)
-	}
-	for _, tr := range res.Transfers {
-		s.costs.Link.Observe(tr.From, tr.To, tr.Bytes, tr.End-tr.Start)
-	}
+	s.costs.ObserveRun(g, res)
 }
 
 // activate checkpoints the current state — the full strategy artifact,

@@ -134,10 +134,13 @@ func nodeLess(a, b readyNode) bool {
 
 // xfer is one pending or in-flight tensor copy. One xfer serves every
 // consumer of the producer's output on the destination device (TensorFlow
-// sends one copy per device, not per edge).
+// sends one copy per device, not per edge): the producer's out-edges whose
+// consumer is placed on dest, in edge order.
 type xfer struct {
 	producer  int
-	consumers []int
+	copy      int // index of the copy's consumer count in runState.copyRefs
+	consumers int // how many consumers the copy serves
+	priority  int // the smallest priority index among them (Priority only)
 	src, dest int // device endpoints (channels may be shared across pairs)
 	bytes     int64
 	enqueued  int64
@@ -145,21 +148,20 @@ type xfer struct {
 }
 
 // channel is the copy engine for one ordered device pair: transfers on the
-// same pair serialize; different pairs proceed in parallel.
+// same pair serialize; different pairs proceed in parallel. queue[head:]
+// are the pending and in-flight transfers; the slice is rewound when it
+// drains, so a channel reuses its storage.
 type channel struct {
 	from, to int
 	queue    []xfer
+	head     int
 	busy     bool
-}
-
-type copyKey struct {
-	producer int
-	dev      int
 }
 
 type runState struct {
 	e     *Engine
 	g     *graph.Graph
+	edges []graph.Edge // g.Edges(), indexed by the graph's edge indexes
 	place []int
 	cfg   Config
 
@@ -175,10 +177,13 @@ type runState struct {
 	queues     []readyQueue
 	channels   map[[2]int]*channel
 
-	memUsed  []int64
-	memPeak  []int64
-	outRefs  []int // remaining releases before an op's output is freed
-	copyRefs map[copyKey]int
+	memUsed []int64
+	memPeak []int64
+	outRefs []int // remaining releases before an op's output is freed
+	// copyRefs holds, per received copy, the consumers that have not yet
+	// released it; edgeCopy maps each cross-device edge to its copy.
+	copyRefs []int
+	edgeCopy []int32
 
 	spans      []Span
 	transfers  []Transfer
@@ -186,6 +191,15 @@ type runState struct {
 	memcpyNS   []int64
 	rng        *rand.Rand
 	priorities []int
+
+	// Per-run scratch onOpDone routes a finished op's output through:
+	// the destination devices of its remote consumers, and per device the
+	// number of those consumers, their most urgent priority index and the
+	// copy that serves them.
+	dests      []int
+	destCount  []int
+	destUrgent []int
+	destCopy   []int
 
 	// Fault injection (see Config.Faults). Times are iteration-relative
 	// nanoseconds: fault AtNs minus the epoch.
@@ -201,9 +215,18 @@ type runState struct {
 func newRunState(e *Engine, g *graph.Graph, placement []int, cfg Config) *runState {
 	n := g.NumOps()
 	d := e.cluster.NumDevices()
+	// Every cross-device edge yields one Transfer record, and at most one
+	// copy.
+	remote := 0
+	for _, ed := range g.Edges() {
+		if placement[ed.From] != placement[ed.To] {
+			remote++
+		}
+	}
 	r := &runState{
 		e:             e,
 		g:             g,
+		edges:         g.Edges(),
 		place:         placement,
 		cfg:           cfg,
 		pendingInputs: make([]int, n),
@@ -214,11 +237,17 @@ func newRunState(e *Engine, g *graph.Graph, placement []int, cfg Config) *runSta
 		memUsed:       make([]int64, d),
 		memPeak:       make([]int64, d),
 		outRefs:       make([]int, n),
-		copyRefs:      make(map[copyKey]int),
+		copyRefs:      make([]int, 0, remote),
+		edgeCopy:      make([]int32, g.NumEdges()),
+		spans:         make([]Span, 0, n),
+		transfers:     make([]Transfer, 0, remote),
 		computeNS:     make([]int64, d),
 		memcpyNS:      make([]int64, d),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		priorities:    cfg.Priorities,
+		destCount:     make([]int, d),
+		destUrgent:    make([]int, d),
+		destCopy:      make([]int, d),
 	}
 	for i := range r.outRefs {
 		r.outRefs[i] = -1 // unset until the op finishes
@@ -428,57 +457,67 @@ func (r *runState) onOpDone(opID, dev int) error {
 	r.free(dev, op.WorkspaceBytes)
 
 	// Release inputs this op was holding.
-	for _, e := range r.g.InEdges(opID) {
+	for _, ei := range r.g.InEdgeIndex(opID) {
+		e := &r.edges[ei]
 		pdev := r.place[e.From]
 		if pdev == dev {
 			r.releaseRef(e.From)
 		} else {
-			k := copyKey{producer: e.From, dev: dev}
+			k := r.edgeCopy[ei]
 			r.copyRefs[k]--
 			if r.copyRefs[k] == 0 {
 				r.free(dev, e.Bytes)
-				delete(r.copyRefs, k)
 			}
 		}
 	}
 
-	// Route the output: group consumers by destination device.
+	// Route the output: count consumers by destination device.
 	sameDev := 0
-	remote := make(map[int][]int) // dest device -> consumers
 	var remoteBytes int64
-	for _, e := range r.g.OutEdges(opID) {
+	r.dests = r.dests[:0]
+	for _, ei := range r.g.OutEdgeIndex(opID) {
+		e := &r.edges[ei]
 		cdev := r.place[e.To]
 		if cdev == dev {
 			sameDev++
 			if err := r.notifyInput(e.To); err != nil {
 				return err
 			}
-		} else {
-			remote[cdev] = append(remote[cdev], e.To)
-			if e.Bytes > remoteBytes {
-				remoteBytes = e.Bytes
-			}
+			continue
+		}
+		if r.destCount[cdev] == 0 {
+			r.dests = append(r.dests, cdev)
+			r.destUrgent[cdev] = maxPriority
+			r.destCopy[cdev] = len(r.copyRefs)
+			r.copyRefs = append(r.copyRefs, 0)
+		}
+		r.destCount[cdev]++
+		r.edgeCopy[ei] = int32(r.destCopy[cdev])
+		if r.cfg.Discipline == Priority && r.priorities[e.To] < r.destUrgent[cdev] {
+			r.destUrgent[cdev] = r.priorities[e.To]
+		}
+		if e.Bytes > remoteBytes {
+			remoteBytes = e.Bytes
 		}
 	}
-	r.outRefs[opID] = sameDev + len(remote)
+	r.outRefs[opID] = sameDev + len(r.dests)
 	if r.outRefs[opID] == 0 {
 		r.free(dev, op.OutputBytes)
 	}
 	// Deterministic channel order.
-	dests := make([]int, 0, len(remote))
-	for d := range remote {
-		dests = append(dests, d)
-	}
-	sort.Ints(dests)
-	for _, d := range dests {
+	sort.Ints(r.dests)
+	for _, d := range r.dests {
 		r.enqueueTransfer(dev, d, xfer{
 			producer:  opID,
-			consumers: remote[d],
+			copy:      r.destCopy[d],
+			consumers: r.destCount[d],
+			priority:  r.destUrgent[d],
 			src:       dev,
 			dest:      d,
 			bytes:     remoteBytes,
 			enqueued:  r.now,
 		})
+		r.destCount[d] = 0
 	}
 
 	r.deviceBusy[dev] = false
@@ -536,23 +575,23 @@ func (r *runState) channelKey(from, to int) [2]int {
 // transfer whose most urgent consumer has the smallest priority index goes
 // first — FastT's order enforcement covers send/recv scheduling too.
 func (r *runState) pump(ch *channel) {
-	if ch.busy || len(ch.queue) == 0 {
+	pending := ch.queue[ch.head:]
+	if ch.busy || len(pending) == 0 {
 		return
 	}
-	if r.cfg.Discipline == Priority && len(ch.queue) > 1 {
+	if r.cfg.Discipline == Priority && len(pending) > 1 {
 		best := 0
-		bestKey := r.xferPriority(ch.queue[0])
-		for i := 1; i < len(ch.queue); i++ {
-			if k := r.xferPriority(ch.queue[i]); k < bestKey {
-				best, bestKey = i, k
+		for i := 1; i < len(pending); i++ {
+			if pending[i].priority < pending[best].priority {
+				best = i
 			}
 		}
 		if best != 0 {
-			ch.queue[0], ch.queue[best] = ch.queue[best], ch.queue[0]
+			pending[0], pending[best] = pending[best], pending[0]
 		}
 	}
 	ch.busy = true
-	head := &ch.queue[0]
+	head := &pending[0]
 	head.started = r.now
 	link := r.e.cluster.Link(head.src, head.dest)
 	dur := r.jitter(kernels.TransferTime(head.bytes, link))
@@ -563,49 +602,49 @@ func (r *runState) pump(ch *channel) {
 	r.events.push(event{at: r.now + dur, seq: r.seq, kind: evXferDone, ch: ch})
 }
 
-// xferPriority returns the urgency of a pending transfer: the smallest
-// priority index among its consumers.
-func (r *runState) xferPriority(x xfer) int {
-	best := int(^uint(0) >> 1)
-	for _, c := range x.consumers {
-		if p := r.priorities[c]; p < best {
-			best = p
-		}
-	}
-	return best
-}
+// maxPriority starts the search for a transfer's most urgent consumer: it
+// is less urgent than any priority index.
+const maxPriority = int(^uint(0) >> 1)
 
 func (r *runState) onXferDone(ch *channel) error {
-	head := ch.queue[0]
-	ch.queue = ch.queue[1:]
+	head := ch.queue[ch.head]
+	ch.head++
+	if ch.head == len(ch.queue) {
+		ch.queue, ch.head = ch.queue[:0], 0
+	}
 	ch.busy = false
 
 	// Allocate the received copy on the destination.
 	if err := r.alloc(head.dest, head.bytes); err != nil {
 		return err
 	}
-	r.copyRefs[copyKey{producer: head.producer, dev: head.dest}] = len(head.consumers)
+	r.copyRefs[head.copy] = head.consumers
 	r.releaseRef(head.producer)
 
 	end := time.Duration(r.now)
 	start := time.Duration(head.started)
-	for _, c := range head.consumers {
-		r.transfers = append(r.transfers, Transfer{
-			From:     head.src,
-			To:       head.dest,
-			Producer: head.producer,
-			Consumer: c,
-			Bytes:    head.bytes,
-			Enqueued: time.Duration(head.enqueued),
-			Start:    start,
-			End:      end,
-		})
+	out := r.g.OutEdgeIndex(head.producer)
+	for _, ei := range out {
+		if c := r.edges[ei].To; r.place[c] == head.dest {
+			r.transfers = append(r.transfers, Transfer{
+				From:     head.src,
+				To:       head.dest,
+				Producer: head.producer,
+				Consumer: c,
+				Bytes:    head.bytes,
+				Enqueued: time.Duration(head.enqueued),
+				Start:    start,
+				End:      end,
+			})
+		}
 	}
 	r.memcpyNS[head.dest] += int64(end - start)
 
-	for _, c := range head.consumers {
-		if err := r.notifyInput(c); err != nil {
-			return err
+	for _, ei := range out {
+		if c := r.edges[ei].To; r.place[c] == head.dest {
+			if err := r.notifyInput(c); err != nil {
+				return err
+			}
 		}
 	}
 	r.pump(ch)

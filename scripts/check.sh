@@ -167,12 +167,14 @@ fi
 
 if [ "$tier" = "fuzz" ] || [ "$tier" = "all" ]; then
 	echo "== fuzz: 10s smoke per JSON decoder"
-	go test ./internal/strategy/ -fuzz '^FuzzReadJSON$' -fuzztime 10s
-	go test ./internal/graph/ -fuzz '^FuzzReadJSON$' -fuzztime 10s
-	go test ./internal/cost/ -fuzz '^FuzzModelReadJSON$' -fuzztime 10s
-	go test ./internal/device/ -fuzz '^FuzzReadSpec$' -fuzztime 10s
-	go test ./internal/serve/ -fuzz '^FuzzCompute$' -fuzztime 10s
-	go test ./internal/jsonread/ -fuzz '^FuzzReader$' -fuzztime 10s
+	# Minimizing a new input may take 60s by default, off the 10s budget;
+	# a 1s cap keeps each target executing inputs for most of its run.
+	go test ./internal/strategy/ -fuzz '^FuzzReadJSON$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/graph/ -fuzz '^FuzzReadJSON$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/cost/ -fuzz '^FuzzModelReadJSON$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/device/ -fuzz '^FuzzReadSpec$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/serve/ -fuzz '^FuzzCompute$' -fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/jsonread/ -fuzz '^FuzzReader$' -fuzztime 10s -fuzzminimizetime 1s
 fi
 
 if [ "$tier" = "gap" ] || [ "$tier" = "all" ]; then
