@@ -6,6 +6,7 @@ package fastt
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"fastt/internal/core"
+	"fastt/internal/cost"
 	"fastt/internal/device"
 	"fastt/internal/experiments"
 	"fastt/internal/graph"
@@ -28,6 +30,7 @@ import (
 	"fastt/internal/optimal"
 	"fastt/internal/placement"
 	"fastt/internal/serve"
+	"fastt/internal/session"
 	"fastt/internal/sim"
 	"fastt/internal/strategy"
 )
@@ -494,6 +497,60 @@ func BenchmarkWarmstartRecompute(b *testing.B) {
 				b.ReportMetric(float64(st.Pruned), "pruned")
 			})
 		}
+	}
+}
+
+// BenchmarkSessionBootstrap measures a training session from session.New
+// to a converged strategy (Bootstrap) on the cells around the middle of the
+// catalog's search cost, with the search options of a training session
+// (MaxSplitOps = MaxSyncGroups = 8, one worker). Beside ns/op it reports
+// passes/op, the DPOS list-scheduling passes of every strategy search the
+// session ran (core.Strategy.Passes): a deterministic count of the search's
+// work, which a repeated pass moves even when the timing noise hides it.
+func BenchmarkSessionBootstrap(b *testing.B) {
+	opts := core.Options{MaxSplitOps: 8, MaxSyncGroups: 8, Workers: 1}
+	for _, tc := range []struct {
+		model string
+		gpus  int
+	}{{"Transformer", 4}, {"GNMT", 2}, {"ResNet200", 2}, {"Bert-large", 2}} {
+		b.Run(fmt.Sprintf("%s@%d", tc.model, tc.gpus), func(b *testing.B) {
+			spec, err := models.ByName(tc.model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cluster, err := device.NewCluster(1, tc.gpus)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := spec.Build(max(spec.GlobalBatch/tc.gpus, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := graph.BuildDataParallel(m, tc.gpus)
+			if err != nil {
+				b.Fatal(err)
+			}
+			passes := 0
+			counting := func(ctx context.Context, g *graph.Graph, c *device.Cluster, est cost.Estimator, o core.Options) (*core.Strategy, error) {
+				st, err := core.ComputeStrategyCtx(ctx, g, c, est, o)
+				if err == nil {
+					passes += st.Passes
+				}
+				return st, err
+			}
+			cfg := session.Config{Seed: 1, Sched: opts, Strategist: counting}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := session.New(cluster, sim.DefaultExecutor(cluster), g, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Bootstrap(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+		})
 	}
 }
 

@@ -31,8 +31,15 @@ var errPruned = errors.New("candidate pruned by makespan bound")
 // A pruned candidate's true makespan is >= that bound, which is exactly the
 // fact the deterministic tie-resolution pass in OS-DPOS needs. It matches
 // errPruned under errors.Is.
+//
+// completes records a proof that the same pass run without a bound would
+// have finished: at the abort some device still had room for every op left
+// in the queue. A pass fails only when an op fits on no device, and such a
+// device keeps room for whatever remains however the rest is placed, so
+// the unbounded rerun need not be paid to learn it.
 type prunedError struct {
-	bound time.Duration
+	bound     time.Duration
+	completes bool
 }
 
 func (e *prunedError) Error() string { return errPruned.Error() }
@@ -234,7 +241,7 @@ func DPOS(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Opti
 	lat := latticeFor(ctx, cluster, est)
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
-	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil)
+	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil, nil)
 }
 
 // dposFresh schedules a throwaway graph (a re-materialized seed): the
@@ -249,7 +256,7 @@ func dposFresh(g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
 	lat := buildLattice(ctx, cluster.Devices(), est)
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
-	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil)
+	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil, nil)
 }
 
 // dposCtx is the core list scheduler. Every cost it consumes comes
@@ -271,8 +278,13 @@ func dposFresh(g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
 // current value, so one worker's finished candidate aborts the others
 // mid-run. The prunedError records the live value that triggered the
 // abort.
+//
+// replay, when non-nil, takes min-EFT decisions from an incumbent schedule
+// of the same graph, context and ranks until the queue reaches an op
+// replay.stop marks (see incumbentPrefix).
 func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
-	opts Options, ranks *Ranks, bound time.Duration, live *atomic.Int64) (*Schedule, error) {
+	opts Options, ranks *Ranks, bound time.Duration, live *atomic.Int64,
+	replay *incumbentPrefix) (*Schedule, error) {
 	n := ctx.nOps
 	mm := opts.memory()
 	devs := cluster.Devices()
@@ -482,13 +494,38 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 		return bestDev, nil
 	}
 
-	for _, id := range queue {
+	// prune ends an aborted pass at queue position p, with the proof of
+	// prunedError.completes: a device whose free memory covers the summed
+	// footprint of queue[p:]. Negative footprints count as zero, so the
+	// device keeps that cover after every later placement.
+	prune := func(p int) error {
+		var rest int64
+		for _, id := range queue[p:] {
+			if id != ctx.dead {
+				rest += max(mm.OpBytes(ctx.op(id)), 0)
+			}
+		}
+		completes := false
+		for i := range states {
+			if states[i].memFree >= rest {
+				completes = true
+				break
+			}
+		}
+		releaseSchedule(sched)
+		return &prunedError{bound: abortBound, completes: completes}
+	}
+
+	replaying := replay != nil
+	for p, id := range queue {
 		if aborted {
-			releaseSchedule(sched)
-			return nil, &prunedError{bound: abortBound}
+			return nil, prune(p)
 		}
 		if id == ctx.dead {
 			continue
+		}
+		if replaying && replay.stop[id] {
+			replaying = false
 		}
 		op := ctx.op(id)
 
@@ -525,6 +562,10 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 			advanceCursor(cp, &cpCursor, id)
 		}
 
+		if replaying {
+			place(op, replay.sched.Placement[id])
+			continue
+		}
 		dev, err := bestEFT(op)
 		if err != nil {
 			releaseSchedule(sched)
@@ -533,8 +574,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 		place(op, dev)
 	}
 	if aborted {
-		releaseSchedule(sched)
-		return nil, &prunedError{bound: abortBound}
+		return nil, prune(len(queue))
 	}
 
 	// Execution list A: ops by ascending ST (Alg. 1 line 23).
@@ -571,6 +611,20 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 		}
 	}
 	return sched, nil
+}
+
+// incumbentPrefix is the part of an incumbent schedule a ColocateSync probe
+// can replay. A probe changes only the pins of one sync group's ops, and it
+// shares the incumbent's graph, context, lattice and ranks, hence its rank
+// queue. Until the queue reaches the first op of that group, the probe's
+// pins, device state, channel books and critical-path cursor equal the
+// incumbent's at the same position, so min-EFT would choose the device the
+// incumbent chose: the probe takes it from sched instead of probing every
+// device. Colocation, pins, critical-path selection and the bound check
+// still run as usual.
+type incumbentPrefix struct {
+	sched *Schedule
+	stop  []bool // op ID -> member of the probed group
 }
 
 // advanceCursor moves the CP cursor past id if id is the next CP entry, so

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -136,9 +135,11 @@ func GradientSyncGroups(g *graph.Graph) []SyncGroup {
 // A group is accepted at the best strictly-improving device; the pass ends
 // at the first group no device improves (pruned probes prove
 // non-improvement without finishing), and moves on only past groups whose
-// every probe is infeasible under the accumulated pins. All probes reuse
-// one scheduling context and one rank computation (pins alter placement,
-// never ranks, which depend only on the graph and the estimator).
+// every probe is infeasible under the accumulated pins, finished if need be
+// (allPrunedCompletes). All probes reuse one scheduling context and one
+// rank computation (pins alter placement, never ranks, which depend only
+// on the graph and the estimator), and each replays the incumbent's
+// device choices up to its group's first op (incumbentPrefix).
 func ColocateSync(g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
 	opts Options) (map[string]int, *Schedule, error) {
 	return ColocateSyncCtx(context.Background(), g, cluster, est, opts)
@@ -155,36 +156,47 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	est = cost.ReadSnapshot(est)
-	sctx, err := contextFor(g)
+	b, err := colocateSync(ctx, g, cluster, cost.ReadSnapshot(est), opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("colocate sync: %w", err)
+		return nil, nil, err
 	}
-	lat := latticeFor(sctx, cluster, est)
-	ranks := computeRanksCtx(sctx, lat)
-	defer releaseRanks(ranks)
-	sched, err := dposCtx(sctx, cluster, lat, opts, ranks, 0, nil)
+	releaseRanks(b.ranks)
+	return b.pins, b.sched, nil
+}
+
+// colocateSync is ColocateSyncCtx on a snapshotted estimator. It returns
+// the accepted pins and their schedule together with the context, lattice
+// and ranks that schedule was computed from, so OS-DPOS can start from it.
+func colocateSync(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
+	opts Options) (*baseSchedule, error) {
+	b, err := initialPass(g, cluster, est, opts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("colocate sync: %w", err)
+		return nil, fmt.Errorf("colocate sync: %w", err)
 	}
 	groups := GradientSyncGroups(g)
 	numDev := cluster.NumDevices()
 	if len(groups) == 0 || numDev < 2 {
-		return nil, sched, nil
+		return b, nil
+	}
+	sctx, lat, ranks := b.ctx, b.lat, b.ranks
+	fail := func(err error) (*baseSchedule, error) {
+		releaseSchedule(b.sched)
+		releaseRanks(ranks)
+		return nil, err
 	}
 	workers := opts.WorkerCount()
-	best := sched.Makespan
+	best := b.sched.Makespan
 	pins := make(map[string]int)
+	var passes atomic.Int64
 	examined := 0
 	for _, grp := range groups {
 		if err := ctx.Err(); err != nil {
-			releaseSchedule(sched)
-			return nil, nil, err
+			return fail(err)
 		}
 		if len(grp.Grads) < 2 {
 			continue // single replica: nothing to co-locate
 		}
-		if alreadyColocated(grp, sched.Placement) {
+		if alreadyColocated(grp, b.sched.Placement) {
 			continue
 		}
 		if opts.MaxSyncGroups > 0 && examined >= opts.MaxSyncGroups {
@@ -192,18 +204,31 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 		}
 		examined++
 
-		names := make([]string, 0, 8)
-		for _, id := range grp.ops() {
+		members := grp.ops()
+		names := make([]string, 0, len(members))
+		replay := &incumbentPrefix{sched: b.sched, stop: make([]bool, sctx.nOps)}
+		for _, id := range members {
 			names = append(names, g.Op(id).Name)
+			replay.stop[id] = true
 		}
 		// Probe order: the device the scheduler gave the variable first,
 		// then the rest ascending. First-minimum over this order decides.
 		order := make([]int, 0, numDev)
-		order = append(order, sched.Placement[grp.Variable])
+		order = append(order, b.sched.Placement[grp.Variable])
 		for d := 0; d < numDev; d++ {
 			if d != order[0] {
 				order = append(order, d)
 			}
+		}
+		trialPins := func(dev int) map[string]int {
+			trial := make(map[string]int, len(pins)+len(names))
+			for k, v := range pins {
+				trial[k] = v
+			}
+			for _, nm := range names {
+				trial[nm] = dev
+			}
+			return trial
 		}
 		bound := best
 		var live *atomic.Int64
@@ -211,24 +236,18 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 			live = new(atomic.Int64)
 			live.Store(int64(best))
 		}
-		probe := func(i int, b time.Duration, lv *atomic.Int64) candOutcome {
+		probe := func(i int, bnd time.Duration, lv *atomic.Int64) candOutcome {
 			if ctx.Err() != nil {
 				return candOutcome{} // cancelled: drop the probe
 			}
-			trial := make(map[string]int, len(pins)+len(names))
-			for k, v := range pins {
-				trial[k] = v
-			}
-			for _, nm := range names {
-				trial[nm] = order[i]
-			}
 			trialOpts := opts
-			trialOpts.Pinned = mergePins(opts.Pinned, trial)
-			cand, err := dposCtx(sctx, cluster, lat, trialOpts, ranks, b, lv)
+			trialOpts.Pinned = mergePins(opts.Pinned, trialPins(order[i]))
+			passes.Add(1)
+			cand, err := dposCtx(sctx, cluster, lat, trialOpts, ranks, bnd, lv, replay)
 			if err != nil {
 				var pe *prunedError
 				if errors.As(err, &pe) {
-					return candOutcome{pruned: true, bound: pe.bound}
+					return candOutcome{pruned: true, bound: pe.bound, completes: pe.completes}
 				}
 				return candOutcome{} // infeasible under pins
 			}
@@ -241,18 +260,17 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 		fanOut(workers, len(order), func(i int) { results[i] = probe(i, bound, live) })
 		if err := ctx.Err(); err != nil {
 			releaseOutcomes(results)
-			releaseSchedule(sched)
-			return nil, nil, err
+			return fail(err)
 		}
 
-		bestIdx, bestFT := reduceFirstMin(results, live != nil, func(i int, b time.Duration) candOutcome {
-			return probe(i, b, nil)
+		bestIdx, bestFT := reduceFirstMin(results, live != nil, func(i int, bnd time.Duration) candOutcome {
+			return probe(i, bnd, nil)
 		})
 		if bestIdx < 0 {
-			if slices.ContainsFunc(results, func(r candOutcome) bool { return r.pruned }) {
-				break // every completing probe would be non-improving
+			if allPrunedCompletes(results, func(i int) candOutcome { return probe(i, 0, nil) }) < 0 {
+				continue // all infeasible under pins: try the next group
 			}
-			continue // all infeasible under pins: try the next group
+			break // some probe completes, necessarily non-improving
 		}
 		if bestFT >= best {
 			// A bounded completion beats the bound by construction, so
@@ -264,19 +282,14 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 		wsched := results[bestIdx].sched
 		results[bestIdx].sched = nil
 		releaseOutcomes(results)
-		trial := make(map[string]int, len(pins)+len(names))
-		for k, v := range pins {
-			trial[k] = v
-		}
-		for _, nm := range names {
-			trial[nm] = order[bestIdx]
-		}
 		best = wsched.Makespan
-		pins = trial
-		releaseSchedule(sched)
-		sched = wsched
+		pins = trialPins(order[bestIdx])
+		releaseSchedule(b.sched)
+		b.sched = wsched
 	}
-	return pins, sched, nil
+	b.pins = pins
+	b.passes += int(passes.Load())
+	return b, nil
 }
 
 // collectGradients walks the aggregation tree rooted at the final AddN and

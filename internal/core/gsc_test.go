@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"maps"
+	"slices"
 	"testing"
 	"time"
 
+	"fastt/internal/cost"
 	"fastt/internal/device"
 	"fastt/internal/graph"
 	"fastt/internal/kernels"
@@ -263,53 +266,154 @@ func TestDPOSPinFallsBackWhenMemoryFull(t *testing.T) {
 }
 
 // TestColocateSyncMatchesOracle pins pruning exactness of the colocation
-// pass: across the catalog at 4 GPUs, ColocateSync at Workers {1, 4}
-// must return the pins, makespan and placement of colocateSyncOracle,
-// whose probes all run unbounded to completion.
+// pass: across the catalog on 2, 4 and 8 GPUs, ColocateSync at Workers
+// {1, 2, 4} must return the pins, makespan and placement of
+// colocateSyncOracle, whose probes all run unbounded to completion. Probes
+// replay the incumbent's decisions up to the group's first op in the rank
+// queue; Bert-large@2 probes a group holding the queue's first op, so it
+// replays nothing.
 func TestColocateSyncMatchesOracle(t *testing.T) {
-	const gpus = 4
-	cluster, err := device.SingleServer(gpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := kernels.NewDefaultOracle(cluster)
 	catalog := models.Catalog()
 	if testing.Short() {
 		catalog = catalog[:3]
 	}
+	headProbed := 0
 	for _, spec := range catalog {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			m, err := spec.Build(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := graph.BuildDataParallel(m, gpus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := Options{MaxSyncGroups: 8}
-			wantPins, want, err := colocateSyncOracle(g, cluster, est, base)
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
-			for _, w := range []int{1, 4} {
-				opts := base
-				opts.Workers = w
-				pins, got, err := ColocateSync(g, cluster, est, opts)
-				if err != nil {
-					t.Fatalf("w=%d: %v", w, err)
-				}
-				if !maps.Equal(pins, wantPins) {
-					t.Errorf("w=%d: pins %v, oracle %v", w, pins, wantPins)
-				}
-				if got.Makespan != want.Makespan {
-					t.Errorf("w=%d: makespan %v, oracle %v", w, got.Makespan, want.Makespan)
-				}
-				if !equalInts(got.Placement, want.Placement) {
-					t.Errorf("w=%d: placements differ from the oracle", w)
-				}
+			for _, gpus := range []int{2, 4, 8} {
+				t.Run(fmt.Sprintf("gpus=%d", gpus), func(t *testing.T) {
+					cluster, err := device.SingleServer(gpus)
+					if err != nil {
+						t.Fatal(err)
+					}
+					est := kernels.NewDefaultOracle(cluster)
+					m, err := spec.Build(4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g, err := graph.BuildDataParallel(m, gpus)
+					if err != nil {
+						t.Fatal(err)
+					}
+					base := Options{MaxSyncGroups: 8}
+					wantPins, want, err := colocateSyncOracle(g, cluster, est, base)
+					if err != nil {
+						t.Fatalf("oracle: %v", err)
+					}
+					if firstProbedHoldsQueueHead(t, g, cluster, est) {
+						headProbed++
+					}
+					for _, w := range []int{1, 2, 4} {
+						opts := base
+						opts.Workers = w
+						pins, got, err := ColocateSync(g, cluster, est, opts)
+						if err != nil {
+							t.Fatalf("w=%d: %v", w, err)
+						}
+						if !maps.Equal(pins, wantPins) {
+							t.Errorf("w=%d: pins %v, oracle %v", w, pins, wantPins)
+						}
+						if got.Makespan != want.Makespan {
+							t.Errorf("w=%d: makespan %v, oracle %v", w, got.Makespan, want.Makespan)
+						}
+						if !equalInts(got.Placement, want.Placement) {
+							t.Errorf("w=%d: placements differ from the oracle", w)
+						}
+					}
+				})
 			}
 		})
+	}
+	if !testing.Short() && headProbed == 0 {
+		t.Error("no cell probes a group holding the rank queue's first op")
+	}
+}
+
+// firstProbedHoldsQueueHead reports whether the first sync group
+// ColocateSync probes on g holds the op DPOS queues first: the highest
+// upward rank, the lowest ID among ties.
+func firstProbedHoldsQueueHead(t *testing.T, g *graph.Graph, cluster *device.Cluster, est cost.Estimator) bool {
+	t.Helper()
+	ranks, err := ComputeRanks(g, cluster, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := 0
+	for id, r := range ranks.Rank {
+		if r > ranks.Rank[head] {
+			head = id
+		}
+	}
+	s, err := DPOS(g, cluster, est, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, grp := range GradientSyncGroups(g) {
+		if len(grp.Grads) >= 2 && !alreadyColocated(grp, s.Placement) {
+			return slices.Contains(grp.ops(), head)
+		}
+	}
+	return false
+}
+
+// TestColocateSyncPrunedProbeInfeasible is the corner where every probe of
+// a group is pruned on two devices whose memory barely holds a 2-replica
+// graph, and each pruned probe runs out of memory when finished: the
+// unbounded pass skips that group and accepts a later one, so the
+// colocation pass must finish the unproven probes rather than stop. It
+// must match colocateSyncOracle at every worker count.
+func TestColocateSyncPrunedProbeInfeasible(t *testing.T) {
+	m := graph.New()
+	prev := m.MustAddOp(&graph.Op{Name: "input", Kind: graph.KindInput, OutputBytes: 1 << 10, Batch: 8})
+	connect := func(op *graph.Op) {
+		id := m.MustAddOp(op)
+		m.MustConnect(prev, id, m.Op(prev).OutputBytes)
+		prev = id
+	}
+	for _, l := range []struct {
+		flops            time.Duration
+		paramKiB, outKiB int64
+	}{{19 * time.Microsecond, 1536, 256}, {107 * time.Microsecond, 512, 1024},
+		{184 * time.Microsecond, 2048, 256}, {116 * time.Microsecond, 1536, 1024}} {
+		connect(&graph.Op{
+			Name: fmt.Sprintf("l%d", m.NumOps()-1), Kind: graph.KindMatMul, FLOPs: int64(l.flops),
+			ParamBytes: l.paramKiB << 10, OutputBytes: l.outKiB << 10, Batch: 8, Channels: 64,
+		})
+	}
+	for i, l := range []struct {
+		flops  time.Duration
+		outKiB int64
+	}{{45 * time.Microsecond, 512}, {185 * time.Microsecond, 256},
+		{249 * time.Microsecond, 512}, {263 * time.Microsecond, 512}} {
+		layer := fmt.Sprintf("l%d", 3-i)
+		connect(&graph.Op{
+			Name: layer + "_bp", Kind: graph.KindMatMulBackprop, FLOPs: int64(l.flops),
+			OutputBytes: l.outKiB << 10, Batch: 8, GradFor: layer,
+		})
+	}
+	g, err := graph.BuildDataParallel(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := device.SingleServer(2, device.WithMemory(14156800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := &fakeEst{commLatency: 11 * time.Microsecond}
+	wantPins, want, err := colocateSyncOracle(g, cluster, est, Options{})
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	if len(wantPins) == 0 {
+		t.Fatal("the oracle accepts no group; the fixture no longer reaches the corner")
+	}
+	for _, w := range []int{1, 2, 4} {
+		pins, got, err := ColocateSync(g, cluster, est, Options{Workers: w})
+		if err != nil {
+			t.Fatalf("w=%d: %v", w, err)
+		}
+		if !maps.Equal(pins, wantPins) || got.Makespan != want.Makespan || !equalInts(got.Placement, want.Placement) {
+			t.Errorf("w=%d: pins %v makespan %v, oracle %v makespan %v", w, pins, got.Makespan, wantPins, want.Makespan)
+		}
 	}
 }

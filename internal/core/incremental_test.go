@@ -25,7 +25,7 @@ func evalOverlay(t *testing.T, baseCtx *scheduleContext, baseRanks *Ranks, anc [
 	octx := overlayContext(baseCtx, ov)
 	clat := extendLattice(baseLat, octx, cluster.Devices(), est)
 	ranks := deltaRanksOverlay(baseCtx, baseRanks, octx, anc, clat)
-	s, err := dposCtx(octx, cluster, clat, Options{}, ranks, 0, nil)
+	s, err := dposCtx(octx, cluster, clat, Options{}, ranks, 0, nil, nil)
 	releaseRanks(ranks)
 	releaseLattice(clat)
 	releaseOverlayContext(octx)
@@ -186,7 +186,7 @@ func TestRestMinIsValidLowerBound(t *testing.T) {
 		}
 		lat := latticeFor(ctx, cluster, est)
 		ranks := computeRanksCtx(ctx, lat)
-		sched, err := dposCtx(ctx, cluster, lat, Options{}, ranks, 0, nil)
+		sched, err := dposCtx(ctx, cluster, lat, Options{}, ranks, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,20 +215,20 @@ func TestDPOSCtxPrunes(t *testing.T) {
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
 
-	full, err := dposCtx(ctx, c, lat, Options{}, ranks, 0, nil)
+	full, err := dposCtx(ctx, c, lat, Options{}, ranks, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := full.Makespan
 	releaseSchedule(full)
 
-	if _, err := dposCtx(ctx, c, lat, Options{}, ranks, time.Nanosecond, nil); !errors.Is(err, errPruned) {
+	if _, err := dposCtx(ctx, c, lat, Options{}, ranks, time.Nanosecond, nil, nil); !errors.Is(err, errPruned) {
 		t.Fatalf("tiny bound: err %v, want errPruned", err)
 	}
-	if _, err := dposCtx(ctx, c, lat, Options{}, ranks, want, nil); !errors.Is(err, errPruned) {
+	if _, err := dposCtx(ctx, c, lat, Options{}, ranks, want, nil, nil); !errors.Is(err, errPruned) {
 		t.Fatalf("bound == achievable makespan must prune (strict improvement required), got %v", err)
 	}
-	s, err := dposCtx(ctx, c, lat, Options{}, ranks, want+1, nil)
+	s, err := dposCtx(ctx, c, lat, Options{}, ranks, want+1, nil, nil)
 	if err != nil {
 		t.Fatalf("loose bound: %v", err)
 	}

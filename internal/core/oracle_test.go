@@ -67,7 +67,7 @@ func dposFromScratch(g *graph.Graph, cluster *device.Cluster, est cost.Estimator
 	lat := build(ctx, cluster.Devices(), est)
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
-	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil)
+	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil, nil)
 }
 
 // evalClone evaluates one split candidate the reference way: a full
@@ -106,7 +106,7 @@ func osdposOracleOn(g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
 	}
 	baseLat := latticeFor(baseCtx, cluster, est)
 	baseRanks := computeRanksCtx(baseCtx, baseLat)
-	sched, err := dposCtx(baseCtx, cluster, baseLat, opts, baseRanks, 0, nil)
+	sched, err := dposCtx(baseCtx, cluster, baseLat, opts, baseRanks, 0, nil, nil)
 	releaseRanks(baseRanks)
 	if err != nil {
 		return nil, err

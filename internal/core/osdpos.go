@@ -34,6 +34,10 @@ type SplitResult struct {
 	// bound on their makespan proved they could not beat the incumbent
 	// (Table 4).
 	Pruned int
+	// Passes counts the DPOS list-scheduling passes the search ran, bounded
+	// or not, aborted or complete: the initial pass, the seed evaluation,
+	// every candidate and every rerun.
+	Passes int
 	// Seeded reports that Options.Seed was evaluated on the target cluster
 	// and its exact makespan (SeedBound) tightened the initial incumbent
 	// bound of every round. False when no seed was given or when the seed
@@ -60,11 +64,12 @@ type splitCand struct {
 // fresh pass over the materialized clone — the equivalence the incremental
 // tests pin down), and the losers' are released.
 type candOutcome struct {
-	makespan time.Duration
-	sched    *Schedule     // retained on ok; released by the reduce
-	ok       bool          // scheduled to completion
-	pruned   bool          // aborted by the makespan bound
-	bound    time.Duration // the bound in effect at the abort (pruned only)
+	makespan  time.Duration
+	sched     *Schedule     // retained on ok; released by the reduce
+	ok        bool          // scheduled to completion
+	pruned    bool          // aborted by the makespan bound
+	bound     time.Duration // the bound in effect at the abort (pruned only)
+	completes bool          // pruned, and proven to complete unbounded (prunedError)
 }
 
 // releaseOutcomes returns every retained candidate schedule to the pool.
@@ -211,6 +216,7 @@ type osdposRun struct {
 	workers int
 	plan    []roundPlan
 	res     *SplitResult
+	passes  atomic.Int64 // DPOS passes of candidates and reruns
 }
 
 // ctxErr reports the run's cancellation state. It is checked between
@@ -263,14 +269,15 @@ func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, liv
 	octx := overlayContext(b.ctx, ov)
 	clat := extendLattice(b.lat, octx, o.devs, o.est)
 	ranks := deltaRanksOverlay(b.ctx, b.ranks, octx, b.anc, clat)
-	s, err := dposCtx(octx, o.cluster, clat, o.opts, ranks, bound, live)
+	o.passes.Add(1)
+	s, err := dposCtx(octx, o.cluster, clat, o.opts, ranks, bound, live, nil)
 	releaseRanks(ranks)
 	releaseLattice(clat)
 	releaseOverlayContext(octx)
 	if err != nil {
 		var pe *prunedError
 		if errors.As(err, &pe) {
-			return candOutcome{pruned: true, bound: pe.bound}
+			return candOutcome{pruned: true, bound: pe.bound, completes: pe.completes}
 		}
 		return candOutcome{} // infeasible under memory constraints
 	}
@@ -316,6 +323,29 @@ func reduceFirstMin(results []candOutcome, liveUsed bool,
 	return bestIdx, bestFT
 }
 
+// allPrunedCompletes settles the round no outcome completed in: it returns
+// the first pruned outcome, in enumeration order, that would complete
+// without a bound, or -1 when each is infeasible when finished. An outcome
+// carrying the completion proof is taken as it stands; the others are
+// finished through rerun, whose completed schedule is released. With no
+// completion there was no published incumbent, so the pruned set is the
+// sequential pass's at any worker count.
+func allPrunedCompletes(results []candOutcome, rerun func(i int) candOutcome) int {
+	for i, r := range results {
+		if !r.pruned {
+			continue
+		}
+		if r.completes {
+			return i
+		}
+		if full := rerun(i); full.ok {
+			releaseSchedule(full.sched)
+			return i
+		}
+	}
+	return -1
+}
+
 // reduceRound is the deterministic commit point of every OS-DPOS round, at
 // any worker count: reduce the results with reduceFirstMin, count them into
 // Evaluated/Pruned, and decide the round's fate. Returns the winning index
@@ -338,33 +368,25 @@ func (o *osdposRun) reduceRound(b *roundBase, cands []splitCand, results []candO
 	if bestIdx < 0 && pruned > 0 {
 		// Every candidate was pruned or infeasible. Whether Alg. 2
 		// continues to the next CP op (all infeasible) or stops (some
-		// candidate completes, necessarily at >= ftOld) depends on
-		// information pruning discarded, so re-evaluate the pruned
-		// candidates without a bound, in canonical order, until one
-		// completes. This path is rare — it needs every completing
-		// candidate of an op to be non-improving AND pruning to fire
-		// before each one finishes. (No candidate completed, so the
-		// live incumbent never moved off ftOld and the pruned set
-		// matches the sequential pass's exactly.)
-		completed := false
+		// candidate completes, necessarily at >= ftOld) depends on whether
+		// a pruned candidate would finish. Each round that ends the walk
+		// gets here. The pruned candidates up to the first that would
+		// complete are recounted as the unbounded walk counts them:
+		// nowhere when they run out of memory, and that one as evaluated.
+		k := allPrunedCompletes(results, func(i int) candOutcome {
+			return o.evalCand(b, cands[i], 0, nil)
+		})
 		for i, r := range results {
-			if !r.pruned {
-				continue
+			if r.pruned && (k < 0 || i <= k) {
+				pruned--
 			}
-			full := o.evalCand(b, cands[i], 0, nil)
-			pruned--
-			if full.ok {
-				releaseSchedule(full.sched)
-				evaluated++
-				completed = true
-				break
-			}
-			// Pruned earlier but infeasible when run to completion:
-			// the unpruned walk would have counted it nowhere either.
+		}
+		if k >= 0 {
+			evaluated++
 		}
 		o.res.Evaluated += evaluated
 		o.res.Pruned += pruned
-		return -1, completed
+		return -1, k >= 0
 	}
 	o.res.Evaluated += evaluated
 	o.res.Pruned += pruned
@@ -502,18 +524,55 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 		return nil, err
 	}
 	est = cost.ReadSnapshot(est)
-	baseCtx, err := contextFor(g)
+	start, err := initialPass(g, cluster, est, opts)
 	if err != nil {
 		return nil, fmt.Errorf("initial DPOS: %w", err)
 	}
-	baseLat := latticeFor(baseCtx, cluster, est)
-	baseRanks := computeRanksCtx(baseCtx, baseLat)
-	sched, err := dposCtx(baseCtx, cluster, baseLat, opts, baseRanks, 0, nil)
+	return osdposFrom(ctx, g, cluster, est, opts, start)
+}
+
+// baseSchedule is a schedule of a graph under Options.Pinned, with the
+// scheduling context, lattice and ranks it was computed from and the DPOS
+// passes spent on it. ColocateSync's result is one: OS-DPOS under the pins
+// ColocateSync accepted starts from exactly that schedule.
+type baseSchedule struct {
+	ctx    *scheduleContext
+	lat    *costLattice
+	ranks  *Ranks // pooled; owned by the holder
+	sched  *Schedule
+	pins   map[string]int // accepted colocation pins (ColocateSync only)
+	passes int
+}
+
+// initialPass runs the one unbounded DPOS pass of g that both ColocateSync
+// and OS-DPOS start from.
+func initialPass(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*baseSchedule, error) {
+	ctx, err := contextFor(g)
 	if err != nil {
+		return nil, err
+	}
+	lat := latticeFor(ctx, cluster, est)
+	ranks := computeRanksCtx(ctx, lat)
+	sched, err := dposCtx(ctx, cluster, lat, opts, ranks, 0, nil, nil)
+	if err != nil {
+		releaseRanks(ranks)
+		return nil, err
+	}
+	return &baseSchedule{ctx: ctx, lat: lat, ranks: ranks, sched: sched, passes: 1}, nil
+}
+
+// osdposFrom runs OS-DPOS from start, a schedule of g under opts.Pinned on
+// the snapshotted estimator est. It takes ownership of start's schedule and
+// ranks.
+func osdposFrom(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
+	opts Options, start *baseSchedule) (*SplitResult, error) {
+	baseCtx, baseLat, baseRanks, sched := start.ctx, start.lat, start.ranks, start.sched
+	if err := ctx.Err(); err != nil {
 		releaseRanks(baseRanks)
-		return nil, fmt.Errorf("initial DPOS: %w", err)
+		releaseSchedule(sched)
+		return nil, err
 	}
-	res := &SplitResult{Graph: g, Schedule: sched}
+	res := &SplitResult{Graph: g, Schedule: sched, Passes: start.passes}
 
 	// Warm start (Theorem 1's pruning argument applied across searches):
 	// a caller-supplied prior strategy is evaluated once for an exact
@@ -526,7 +585,11 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 	var seedGraph *graph.Graph
 	var seedSched *Schedule
 	if opts.Seed != nil {
+		var err error
 		seedGraph, seedSched, err = evalSeed(g, cluster, est, opts)
+		if seedGraph != nil {
+			res.Passes++
+		}
 		if err != nil {
 			releaseRanks(baseRanks)
 			releaseSchedule(sched)
@@ -567,6 +630,7 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 
 	final, err := o.run(base)
 	releaseRanks(final.ranks)
+	res.Passes += int(o.passes.Load())
 	if err != nil {
 		if seedSched != nil {
 			releaseSchedule(seedSched)
@@ -595,8 +659,9 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 // computed for a differently-sized cluster (elastic grow, fault-recovery
 // shrink) needs no device remapping to stay feasible. A fingerprint
 // mismatch is the caller's bug and errors out; a seed that no longer
-// materializes or schedules (memory infeasible on the shrunken cluster)
-// returns nils and the search runs cold.
+// materializes returns nils, and one that no longer schedules (memory
+// infeasible on the shrunken cluster) a nil schedule: the search runs cold.
+// The graph is non-nil exactly when the DPOS pass ran.
 func evalSeed(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*graph.Graph, *Schedule, error) {
 	seed := opts.Seed
 	if fp := strategy.Fingerprint(g); seed.Fingerprint != fp {
@@ -610,7 +675,7 @@ func evalSeed(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts 
 	opts.Seed = nil
 	sched, err := dposFresh(sg, cluster, est, opts)
 	if err != nil {
-		return nil, nil, nil
+		return sg, nil, nil
 	}
 	return sg, sched, nil
 }

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"fastt/internal/device"
 	"fastt/internal/graph"
+	"fastt/internal/kernels"
+	"fastt/internal/models"
 )
 
 // bottleneckGraph builds in -> big -> out where big dominates the critical
@@ -240,5 +243,156 @@ func TestOSDPOSZeroIncumbentStops(t *testing.T) {
 			t.Fatalf("w=%d: %v", w, err)
 		}
 		assertSameStrategy(t, fmt.Sprintf("w=%d", w), want, got)
+	}
+}
+
+// tightConv is one convolution of a tight-memory fixture, fed by the input
+// or by an earlier convolution.
+type tightConv struct {
+	name     string
+	flops    time.Duration
+	outMiB   int64
+	paramKiB int64
+	from     string
+}
+
+// tightGraph builds an input op with inMiB of output followed by convs, each
+// splittable by batch and channel, every edge carrying its producer's
+// whole output.
+func tightGraph(t *testing.T, inMiB int64, convs []tightConv) *graph.Graph {
+	t.Helper()
+	g := graph.New()
+	g.MustAddOp(&graph.Op{Name: "in", Kind: graph.KindInput, OutputBytes: inMiB << 20, Batch: 16})
+	for _, c := range convs {
+		id := g.MustAddOp(&graph.Op{
+			Name: c.name, Kind: graph.KindConv2D, FLOPs: int64(c.flops),
+			OutputBytes: c.outMiB << 20, ParamBytes: c.paramKiB << 10, Batch: 16, Channels: 16,
+		})
+		from, ok := g.OpByName(c.from)
+		if !ok {
+			t.Fatalf("%s: no producer %q", c.name, c.from)
+		}
+		g.MustConnect(from.ID, id, from.OutputBytes)
+	}
+	return g
+}
+
+// TestOSDPOSAllPrunedRounds covers the round in which every candidate is
+// pruned on two devices whose memory barely holds the graph. Whether the
+// walk stops or moves on depends on whether a pruned candidate would
+// complete, settled three ways: a candidate carries the completion proof
+// (no rerun); the proof fails and the unbounded rerun completes; the
+// reruns all run out of memory, so the walk moves to the next op, whose
+// round ends with a proof. Each must return the oracle's strategy, count
+// Evaluated/Pruned as the search did before the proof existed (the
+// figures below), and run the pinned number of DPOS passes: the initial
+// pass, two candidates per round, and the reruns.
+func TestOSDPOSAllPrunedRounds(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		inMiB                     int64
+		convs                     []tightConv
+		memory                    int64
+		latency                   time.Duration
+		evaluated, pruned, passes int
+	}{
+		{
+			name: "proof holds", inMiB: 4, memory: 16043212, latency: 13 * time.Microsecond,
+			convs: []tightConv{
+				{"c0", 68 * time.Microsecond, 3, 512, "in"},
+				{"c1", 193 * time.Microsecond, 4, 0, "in"},
+				{"c2", 182 * time.Microsecond, 2, 512, "in"},
+			},
+			evaluated: 1, pruned: 1, passes: 3,
+		},
+		{
+			name: "proof fails, rerun completes", inMiB: 1, memory: 11010048, latency: 8 * time.Microsecond,
+			convs: []tightConv{
+				{"c0", 39 * time.Microsecond, 2, 256, "in"},
+				{"c1", 160 * time.Microsecond, 1, 256, "c0"},
+				{"c2", 150 * time.Microsecond, 4, 256, "in"},
+				{"c3", 60 * time.Microsecond, 2, 512, "c1"},
+			},
+			evaluated: 1, pruned: 1, passes: 4,
+		},
+		{
+			name: "reruns infeasible, walk moves on", inMiB: 2, memory: 16882073, latency: 15 * time.Microsecond,
+			convs: []tightConv{
+				{"c0", 162 * time.Microsecond, 4, 512, "in"},
+				{"c1", 144 * time.Microsecond, 1, 512, "c0"},
+				{"c2", 67 * time.Microsecond, 3, 512, "c0"},
+				{"c3", 57 * time.Microsecond, 4, 0, "in"},
+				{"c4", 109 * time.Microsecond, 3, 0, "c3"},
+			},
+			evaluated: 1, pruned: 1, passes: 7,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tightGraph(t, tc.inMiB, tc.convs)
+			c, err := device.SingleServer(2, device.WithMemory(tc.memory))
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := &fakeEst{commLatency: tc.latency}
+			want, err := osdposOracle(g, c, est, Options{})
+			if err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
+			for _, w := range []int{1, 2} {
+				got, err := OSDPOS(g, c, est, Options{Workers: w})
+				if err != nil {
+					t.Fatalf("w=%d: %v", w, err)
+				}
+				assertSameStrategy(t, fmt.Sprintf("w=%d", w), want, got)
+				if w > 1 {
+					continue // the live bound makes the counts a race outcome
+				}
+				if got.Evaluated != tc.evaluated || got.Pruned != tc.pruned || got.Passes != tc.passes {
+					t.Errorf("Evaluated/Pruned/Passes = %d/%d/%d, want %d/%d/%d",
+						got.Evaluated, got.Pruned, got.Passes, tc.evaluated, tc.pruned, tc.passes)
+				}
+			}
+		})
+	}
+}
+
+// TestComputeStrategyPasses pins the DPOS passes one search runs on three
+// small catalog cells (MaxSplitOps = MaxSyncGroups = 8, one worker), so a
+// pass that comes back fails here instead of hiding in benchmark noise.
+// Each count is two below a search that reschedules ColocateSync's result
+// as OS-DPOS's first pass and reruns a pruned candidate to learn that it
+// would complete.
+func TestComputeStrategyPasses(t *testing.T) {
+	for _, tc := range []struct {
+		model        string
+		gpus, passes int
+	}{
+		{"LeNet", 2, 5},
+		{"VGG-19", 2, 9},
+		{"AlexNet", 4, 19},
+	} {
+		t.Run(fmt.Sprintf("%s@%d", tc.model, tc.gpus), func(t *testing.T) {
+			spec, err := models.ByName(tc.model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := spec.Build(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := graph.BuildDataParallel(m, tc.gpus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cluster := clusterN(t, tc.gpus)
+			st, err := ComputeStrategy(g, cluster, kernels.NewDefaultOracle(cluster),
+				Options{MaxSplitOps: 8, MaxSyncGroups: 8, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Passes != tc.passes {
+				t.Errorf("Passes = %d, want %d", st.Passes, tc.passes)
+			}
+		})
 	}
 }

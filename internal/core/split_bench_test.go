@@ -43,7 +43,7 @@ func BenchmarkSplitCandidate(b *testing.B) {
 
 	// Use the scheduler's own notion of a candidate: the top op on the
 	// placed critical path, batch-split across all devices.
-	base, err := dposCtx(baseCtx, cluster, baseLat, Options{}, baseRanks, 0, nil)
+	base, err := dposCtx(baseCtx, cluster, baseLat, Options{}, baseRanks, 0, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func BenchmarkSplitCandidate(b *testing.B) {
 			octx := overlayContext(baseCtx, ov)
 			clat := extendLattice(baseLat, octx, cluster.Devices(), est)
 			ranks := deltaRanksOverlay(baseCtx, baseRanks, octx, anc, clat)
-			s, err := dposCtx(octx, cluster, clat, Options{}, ranks, 0, nil)
+			s, err := dposCtx(octx, cluster, clat, Options{}, ranks, 0, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

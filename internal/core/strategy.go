@@ -43,6 +43,9 @@ type Strategy struct {
 	// work/avoided-work pair behind Table 4's strategy-computation times.
 	Evaluated int
 	Pruned    int
+	// Passes counts the DPOS list-scheduling passes the search ran (see
+	// SplitResult.Passes), ColocateSync's probes included.
+	Passes int
 	// Seeded, SeedBound and SeedWon report the warm start (Options.Seed):
 	// whether a prior strategy's exact makespan tightened the search's
 	// initial incumbent, what that bound was, and whether the search fell
@@ -92,13 +95,17 @@ func ComputeStrategyCtx(ctx context.Context, g *graph.Graph, cluster *device.Clu
 	// subclusters; the bound is a property of the final strategy on the full
 	// cluster, so compute it once at the end, not per candidate subcluster.
 	subOpts.ComputeBound = false
-	pins, colSched, err := ColocateSyncCtx(ctx, g, cluster, est, opts)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// OS-DPOS under the accepted pins starts from ColocateSync's final
+	// schedule: its initial pass would recompute the same bytes.
+	col, err := colocateSync(ctx, g, cluster, est, opts)
 	if err != nil {
 		return nil, err
 	}
-	releaseSchedule(colSched)
-	opts.Pinned = mergePins(opts.Pinned, pins)
-	res, err := OSDPOSCtx(ctx, g, cluster, est, opts)
+	opts.Pinned = mergePins(opts.Pinned, col.pins)
+	res, err := osdposFrom(ctx, g, cluster, est, opts, col)
 	if err != nil {
 		return nil, err
 	}
@@ -115,6 +122,7 @@ func ComputeStrategyCtx(ctx context.Context, g *graph.Graph, cluster *device.Clu
 		Priorities: res.Schedule.Priorities,
 		Evaluated:  res.Evaluated,
 		Pruned:     res.Pruned,
+		Passes:     res.Passes,
 		Seeded:     res.Seeded,
 		SeedBound:  res.SeedBound,
 		SeedWon:    res.SeedWon,
@@ -162,11 +170,15 @@ func ComputePlacementOnlyCtx(ctx context.Context, g *graph.Graph, cluster *devic
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	est = cost.ReadSnapshot(est)
-	_, s, err := ColocateSyncCtx(ctx, g, cluster, est, opts)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	col, err := colocateSync(ctx, g, cluster, cost.ReadSnapshot(est), opts)
 	if err != nil {
 		return nil, err
 	}
+	releaseRanks(col.ranks)
+	s := col.sched
 	return &Strategy{
 		Artifact: strategy.Artifact{
 			SchemaVersion: strategy.SchemaVersion,
@@ -177,6 +189,7 @@ func ComputePlacementOnlyCtx(ctx context.Context, g *graph.Graph, cluster *devic
 		},
 		Graph:      g,
 		Priorities: s.Priorities,
+		Passes:     col.passes,
 	}, nil
 }
 

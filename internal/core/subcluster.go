@@ -115,11 +115,12 @@ func refineWithClassSubclusters(ctx context.Context, g *graph.Graph, cluster *de
 		}
 		best.Evaluated += cand.Evaluated
 		best.Pruned += cand.Pruned
+		best.Passes += cand.Passes
 		if cand.Predicted < best.Predicted {
 			for op, dev := range cand.Placement {
 				cand.Placement[op] = sub.ids[dev]
 			}
-			cand.Evaluated, cand.Pruned = best.Evaluated, best.Pruned
+			cand.Evaluated, cand.Pruned, cand.Passes = best.Evaluated, best.Pruned, best.Passes
 			// The seed evaluates independently per population (it may be
 			// feasible on the full cluster but not on a restriction); keep
 			// the winner's own SeedWon but report the warm start if any

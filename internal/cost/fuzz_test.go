@@ -40,6 +40,7 @@ func FuzzModelReadJSON(f *testing.F) {
 	f.Add([]byte(`{"comp":[{"name":"x","n":1.5}]}`))
 	f.Add([]byte(`{"comp":[{"name":"x","n":1,"mean":1e400}]}`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"comm":[{"from":0,"to":1,"n":1,"sumX":1e308},{"from":0,"to":1,"n":1,"sumX":1e308}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := decodeModel(data)
 		want, werr := decodeModelOracle(data)

@@ -271,20 +271,113 @@ func (m *Model) ReadJSON(r io.Reader) error {
 		}
 	}
 
+	// Merge in place, logging every statistic the document touches, and
+	// undo the merge unless all of them stay finite: finite entries can
+	// still sum past the float range, and a non-finite statistic would
+	// poison predictions and fail WriteJSON.
 	m.Comp.mu.Lock()
+	defer m.Comp.mu.Unlock()
+	m.Link.mu.Lock()
+	defer m.Link.mu.Unlock()
+	exact := make(undoLog[compKey, runningStat], 0, len(doc.Comp))
+	names := make(undoLog[string, meanStat], 0, len(doc.Comp))
+	classes := make(undoLog[classKey, meanStat], 0, len(doc.Comp))
 	for _, e := range doc.Comp {
-		m.Comp.statsOf(e.Name, e.Dev).merge(e.N, e.Mean, e.M2)
+		st := keyStats{
+			exact: exact.touch(m.Comp.stats, compKey{name: e.Name, dev: e.Dev}),
+			name:  names.touch(m.Comp.byName, e.Name),
+		}
+		if class := m.Comp.classOf(e.Dev); class != "" {
+			st.class = classes.touch(m.Comp.byClass, classKey{name: e.Name, class: class})
+		}
+		st.merge(e.N, e.Mean, e.M2)
+	}
+	pairs := make(undoLog[pairKey, olsAccumulator], 0, len(doc.Comm))
+	links := m.Link.classes
+	for _, e := range doc.Comm {
+		acc := olsAccumulator{n: e.N, sumX: e.SumX, sumY: e.SumY, sumXX: e.SumXX, sumXY: e.SumXY, minX: e.MinX, maxX: e.MaxX}
+		pairs.touch(m.Link.pairs, pairKey{from: e.From, to: e.To}).merge(&acc)
+		m.Link.classes[linkClassOf(m.Link.cluster, e.From, e.To)].merge(&acc)
+	}
+	if err := mergedFinite(exact, names, classes, pairs, &m.Link.classes); err != nil {
+		exact.undo(m.Comp.stats)
+		names.undo(m.Comp.byName)
+		classes.undo(m.Comp.byClass)
+		pairs.undo(m.Link.pairs)
+		m.Link.classes = links
+		return err
 	}
 	m.Comp.snap = nil
-	m.Comp.mu.Unlock()
-
-	m.Link.mu.Lock()
-	for _, e := range doc.Comm {
-		m.Link.fold(e.From, e.To, &olsAccumulator{n: e.N, sumX: e.SumX, sumY: e.SumY,
-			sumXX: e.SumXX, sumXY: e.SumXY, minX: e.MinX, maxX: e.MaxX})
-	}
-	m.Link.mu.Unlock()
+	m.Link.snap = nil
 	return nil
+}
+
+// mergedFinite checks every statistic a load wrote through.
+func mergedFinite(exact undoLog[compKey, runningStat], names undoLog[string, meanStat],
+	classes undoLog[classKey, meanStat], pairs undoLog[pairKey, olsAccumulator],
+	links *[numLinkClasses]olsAccumulator) error {
+	for _, w := range exact {
+		if err := jsonwrite.Finite(w.ptr.mean, w.ptr.m2); err != nil {
+			return fmt.Errorf("cost entry %q on device %d: merged statistics overflow: %w", w.key.name, w.key.dev, err)
+		}
+	}
+	for _, w := range names {
+		if err := jsonwrite.Finite(w.ptr.mean); err != nil {
+			return fmt.Errorf("cost entry %q: merged statistics overflow: %w", w.key, err)
+		}
+	}
+	for _, w := range classes {
+		if err := jsonwrite.Finite(w.ptr.mean); err != nil {
+			return fmt.Errorf("cost entry %q on class %s: merged statistics overflow: %w", w.key.name, w.key.class, err)
+		}
+	}
+	for _, w := range pairs {
+		a := w.ptr
+		if err := jsonwrite.Finite(a.sumX, a.sumY, a.sumXX, a.sumXY, a.minX, a.maxX); err != nil {
+			return fmt.Errorf("comm entry %d->%d: merged statistics overflow: %w", w.key.from, w.key.to, err)
+		}
+	}
+	for _, a := range links {
+		if err := jsonwrite.Finite(a.sumX, a.sumY, a.sumXX, a.sumXY, a.minX, a.maxX); err != nil {
+			return fmt.Errorf("comm entries: merged statistics overflow: %w", err)
+		}
+	}
+	return nil
+}
+
+// undoLog records each write a load makes through a model map, so a
+// rejected load can restore the map exactly.
+type undoLog[K comparable, V any] []written[K, V]
+
+// written is one entry a load wrote through, with its value before the
+// write; existed is false when the load created it.
+type written[K comparable, V any] struct {
+	key     K
+	ptr     *V
+	prev    V
+	existed bool
+}
+
+// touch returns live[k], creating it on first use, and logs it.
+func (u *undoLog[K, V]) touch(live map[K]*V, k K) *V {
+	v, ok := live[k]
+	if !ok {
+		v = new(V)
+		live[k] = v
+	}
+	*u = append(*u, written[K, V]{key: k, ptr: v, prev: *v, existed: ok})
+	return v
+}
+
+// undo restores live to its state before the logged writes.
+func (u undoLog[K, V]) undo(live map[K]*V) {
+	for i := len(u) - 1; i >= 0; i-- {
+		if w := u[i]; w.existed {
+			*w.ptr = w.prev
+		} else {
+			delete(live, w.key)
+		}
+	}
 }
 
 // mergeStat combines (n, mean, m2) into s (parallel Welford merge).

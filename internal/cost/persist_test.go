@@ -84,9 +84,10 @@ func TestPersistRejectsForeignDevices(t *testing.T) {
 }
 
 // TestPersistRejectedSnapshotMergesNothing loads snapshots that fail
-// validation into a model that already holds statistics: each must be
-// rejected and leave the model exactly as it was, including comp entries
-// that precede the bad comm entry.
+// validation, or whose merge would leave a non-finite statistic, into a
+// model that already holds statistics: each must be rejected and leave the
+// model exactly as it was, including comp entries that precede the bad
+// comm entry.
 func TestPersistRejectedSnapshotMergesNothing(t *testing.T) {
 	c := twoServerCluster(t) // 4 devices
 	m := NewModel(c)
@@ -102,6 +103,12 @@ func TestPersistRejectedSnapshotMergesNothing(t *testing.T) {
 		"negative comm count": `{"comp":[{"name":"fc6","dev":1,"n":1,"mean":3e6}],` +
 			`"comm":[{"from":0,"to":1,"n":-5,"sumX":3,"sumY":4,"sumXX":5,"sumXY":6,"minX":1,"maxX":2}]}`,
 		"negative comp count": `{"comp":[{"name":"fc6","dev":1,"n":1,"mean":3e6},{"name":"x","dev":0,"n":-1}]}`,
+		// Each entry is finite; their sums are not.
+		"pair sums overflow": `{"comp":[{"name":"fc6","dev":1,"n":1,"mean":3e6}],` +
+			`"comm":[{"from":0,"to":1,"n":1,"sumX":1e308},{"from":0,"to":1,"n":1,"sumX":1e308}]}`,
+		"link-class sums overflow":  `{"comm":[{"from":0,"to":1,"n":1,"sumY":1e308},{"from":1,"to":0,"n":1,"sumY":1e308}]}`,
+		"comp means overflow":       `{"comp":[{"name":"x","dev":0,"n":1,"mean":1e308},{"name":"x","dev":0,"n":1,"mean":-1e308}]}`,
+		"any-device means overflow": `{"comp":[{"name":"x","dev":0,"n":1,"mean":1e308},{"name":"x","dev":2,"n":1,"mean":-1e308}]}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			if err := m.ReadJSON(strings.NewReader(doc)); err == nil {

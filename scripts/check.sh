@@ -2,7 +2,8 @@
 # check.sh — the repo's verification tiers (see ROADMAP.md).
 #
 #   tier 1: gofmt gate + build + full test suite + a 1-iteration bench
-#           smoke (DPOSThroughput, ServeWarmHit, GraphWriteJSON and GraphReadJSON) so the bench harness
+#           smoke (DPOSThroughput, ServeWarmHit, GraphWriteJSON, GraphReadJSON
+#           and SessionBootstrap) so the bench harness
 #           itself cannot silently rot between opt-in bench runs (no timing gate — it only has to run) + vet
 #           and tests of the perfbench module, which builds against the
 #           internal packages and would otherwise break unnoticed
@@ -65,8 +66,8 @@ if [ "$tier" = "1" ] || [ "$tier" = "all" ]; then
 	fi
 	go build ./...
 	go test ./...
-	echo "== tier 1: bench smoke (BenchmarkDPOSThroughput, BenchmarkServeWarmHit, BenchmarkGraphWriteJSON, BenchmarkGraphReadJSON; 1 iteration)"
-	go test -run '^$' -bench 'BenchmarkDPOSThroughput|BenchmarkServeWarmHit|BenchmarkGraphWriteJSON|BenchmarkGraphReadJSON' -benchtime 1x .
+	echo "== tier 1: bench smoke (BenchmarkDPOSThroughput, BenchmarkServeWarmHit, BenchmarkGraphWriteJSON, BenchmarkGraphReadJSON, BenchmarkSessionBootstrap; 1 iteration)"
+	go test -run '^$' -bench 'BenchmarkDPOSThroughput|BenchmarkServeWarmHit|BenchmarkGraphWriteJSON|BenchmarkGraphReadJSON|BenchmarkSessionBootstrap' -benchtime 1x .
 	echo "== tier 1: perfbench module (go vet + go test)"
 	go -C perfbench vet . && go -C perfbench test .
 fi
