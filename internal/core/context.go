@@ -277,7 +277,8 @@ func resizeDurations(s []time.Duration, n int) []time.Duration {
 var ranksPool = sync.Pool{New: func() any { return &Ranks{} }}
 
 // ranksFromPool returns a Ranks sized for nOps/nEdges; every element is
-// overwritten by computeRanksCtx, so no zeroing is needed.
+// overwritten by computeRanksCtx, so no zeroing is needed. The queue is
+// sized and filled by the rank computation that needs one.
 func ranksFromPool(nOps, nEdges int) *Ranks {
 	r := ranksPool.Get().(*Ranks)
 	r.W = resizeDurations(r.W, nOps)
@@ -339,13 +340,13 @@ func resizeUint64s(s []uint64, n int) []uint64 {
 // transfers of one tensor to several consumers on a device — is O(ops ×
 // devs) and validated against the per-run epoch. probeChan/probeCopy are
 // the non-committing EFT-probe overlays, validated against a fresh epoch
-// per probe; stamps never repeat across runs because the counter only
+// per probed op (their keys name the destination device, so one epoch
+// serves the probes of every device); stamps never repeat across runs because the counter only
 // grows for the lifetime of the pooled scratch, and freshly grown arrays
 // hold zero stamps the counter has already passed.
 type dposScratch struct {
 	onCP   []bool
 	placed []bool
-	queue  []int
 	states []deviceState
 
 	epoch     uint64          // last issued stamp; 0 is never issued
@@ -356,6 +357,8 @@ type dposScratch struct {
 	probeCEp  []uint64
 	probeCopy []time.Duration // nOps × nDevs: per-probe arrival overlay
 	probeDEp  []uint64
+	// probeReady is, per device, when the probed op's inputs are present.
+	probeReady []time.Duration
 }
 
 var scratchPool = sync.Pool{New: func() any { return &dposScratch{} }}
@@ -365,7 +368,6 @@ var scratchPool = sync.Pool{New: func() any { return &dposScratch{} }}
 func (s *dposScratch) reset(nOps, nDevs int) uint64 {
 	s.onCP = resizeBools(s.onCP, nOps)
 	s.placed = resizeBools(s.placed, nOps)
-	s.queue = resizeInts(s.queue, nOps)
 	if cap(s.states) >= nDevs {
 		s.states = s.states[:nDevs]
 	} else {
@@ -386,6 +388,7 @@ func (s *dposScratch) reset(nOps, nDevs int) uint64 {
 	s.copyEpoch = resizeUint64s(s.copyEpoch, nOps*nDevs)
 	s.probeCopy = resizeDurations(s.probeCopy, nOps*nDevs)
 	s.probeDEp = resizeUint64s(s.probeDEp, nOps*nDevs)
+	s.probeReady = resizeDurations(s.probeReady, nDevs)
 	s.epoch++
 	return s.epoch
 }

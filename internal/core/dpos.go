@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -307,22 +308,10 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 		states[i].memFree = d.MemoryBytes
 	}
 
-	// Priority queue: ops in decreasing rank_u order (ancestors first,
-	// since rank strictly decreases along edges).
-	queue := scratch.queue
-	for i := range queue {
-		queue[i] = i
-	}
-	slices.SortFunc(queue, func(a, b int) int {
-		ra, rb := ranks.Rank[a], ranks.Rank[b]
-		if ra != rb {
-			if ra > rb {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
+	// Priority queue: live ops in decreasing rank_u order (ancestors
+	// first, since rank strictly decreases along edges), shared with every
+	// other pass under the same ranks.
+	queue := ranks.queue
 
 	sched := scheduleFromPool(n)
 	sched.CriticalPath = cp
@@ -380,75 +369,65 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 	//
 	// The books are the scratch's epoch-stamped flat arrays: committed
 	// state is validated against runEpoch, probe overlays against a fresh
-	// epoch per probe, so a probe costs zero setup instead of clearing
+	// epoch per probed op, so a probe costs zero setup instead of clearing
 	// maps.
 	chanAvail := scratch.chanAvail
 	copyDone, copyEpoch := scratch.copyDone, scratch.copyEpoch
 	probeChan, probeCEp := scratch.probeChan, scratch.probeCEp
 	probeCopy, probeDEp := scratch.probeCopy, scratch.probeDEp
 
-	// arrivals returns when op's inputs are all present on dev; when
-	// commit is true the implied transfers are booked on their channels,
-	// otherwise they land in the probe overlay of epoch pe.
-	arrivals := func(op *graph.Op, dev int, commit bool, pe uint64) time.Duration {
-		var t time.Duration
-		for _, ei := range ctx.inIdx[op.ID] {
-			e := ctx.edgeAt(ei)
-			if !placed[e.From] {
-				continue // unplaced preds cannot happen in rank order, but be safe
-			}
-			from := sched.Placement[e.From]
-			if from == dev {
-				if ft := sched.Finish[e.From]; ft > t {
-					t = ft
-				}
-				continue
-			}
-			ck := e.From*nd + dev
-			if copyEpoch[ck] == runEpoch {
-				if v := copyDone[ck]; v > t {
-					t = v
-				}
-				continue
-			}
-			if !commit && probeDEp[ck] == pe {
-				if v := probeCopy[ck]; v > t {
-					t = v
-				}
-				continue
-			}
-			pair := from*nd + dev
-			start := sched.Finish[e.From]
-			if !commit && probeCEp[pair] == pe {
-				if avail := probeChan[pair]; avail > start {
-					start = avail
-				}
-			} else if avail := chanAvail[pair]; avail > start {
+	// arrival returns when the tensor of edge ei, produced by src on
+	// device from, is present on dev. When commit is true the implied
+	// transfer is booked on its channel, otherwise it lands in the probe
+	// overlay of epoch pe. Every overlay key names dev, so probes of
+	// several devices can share one epoch.
+	arrival := func(ei, src, from, dev int, commit bool, pe uint64) time.Duration {
+		if from == dev {
+			return sched.Finish[src]
+		}
+		ck := src*nd + dev
+		if copyEpoch[ck] == runEpoch {
+			return copyDone[ck]
+		}
+		if !commit && probeDEp[ck] == pe {
+			return probeCopy[ck]
+		}
+		pair := from*nd + dev
+		start := sched.Finish[src]
+		if !commit && probeCEp[pair] == pe {
+			if avail := probeChan[pair]; avail > start {
 				start = avail
 			}
-			arr := start + lat.commAt(ei, from, dev)
-			if commit {
-				chanAvail[pair] = arr
-				copyDone[ck] = arr
-				copyEpoch[ck] = runEpoch
-			} else {
-				probeChan[pair] = arr
-				probeCEp[pair] = pe
-				probeCopy[ck] = arr
-				probeDEp[ck] = pe
-			}
-			if arr > t {
-				t = arr
-			}
+		} else if avail := chanAvail[pair]; avail > start {
+			start = avail
 		}
-		return t
+		arr := start + lat.commAt(ei, from, dev)
+		if commit {
+			chanAvail[pair] = arr
+			copyDone[ck] = arr
+			copyEpoch[ck] = runEpoch
+		} else {
+			probeChan[pair] = arr
+			probeCEp[pair] = pe
+			probeCopy[ck] = arr
+			probeDEp[ck] = pe
+		}
+		return arr
 	}
 
 	aborted := false
 	var abortBound time.Duration
 	place := func(op *graph.Op, dev int) {
 		dur := lat.execAt(op.ID, dev)
-		st := states[dev].insertionSlot(arrivals(op, dev, true, 0), dur, opts.DisableInsertion)
+		var ready time.Duration
+		for _, ei := range ctx.inIdx[op.ID] {
+			src := ctx.edgeAt(ei).From
+			if !placed[src] {
+				continue // unplaced preds cannot happen in queue order, but be safe
+			}
+			ready = max(ready, arrival(ei, src, sched.Placement[src], dev, true, 0))
+		}
+		st := states[dev].insertionSlot(ready, dur, opts.DisableInsertion)
 		states[dev].commit(interval{start: st, end: st + dur, op: op.ID})
 		states[dev].memFree -= mm.OpBytes(op)
 		sched.Placement[op.ID] = dev
@@ -471,9 +450,25 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 	}
 
 	// bestEFT returns the device minimizing the op's EFT among devices
-	// with sufficient memory; EFT is +inf (skipped) otherwise.
+	// with sufficient memory; EFT is +inf (skipped) otherwise. One walk of
+	// the op's in-edges probes every device under one epoch.
+	probeReady := scratch.probeReady
 	bestEFT := func(op *graph.Op) (int, error) {
 		need := mm.OpBytes(op)
+		clear(probeReady)
+		pe := scratch.nextEpoch()
+		for _, ei := range ctx.inIdx[op.ID] {
+			src := ctx.edgeAt(ei).From
+			if !placed[src] {
+				continue
+			}
+			from := sched.Placement[src]
+			for di := range devs {
+				if states[di].memFree >= need {
+					probeReady[di] = max(probeReady[di], arrival(ei, src, from, di, false, pe))
+				}
+			}
+		}
 		bestDev := -1
 		var bestFinish time.Duration
 		for di := range devs {
@@ -481,8 +476,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 				continue // EFT = +inf (Alg. 1 line 14)
 			}
 			dur := lat.execAt(op.ID, di)
-			ready := arrivals(op, di, false, scratch.nextEpoch())
-			st := states[di].insertionSlot(ready, dur, opts.DisableInsertion)
+			st := states[di].insertionSlot(probeReady[di], dur, opts.DisableInsertion)
 			if ft := st + dur; bestDev == -1 || ft < bestFinish {
 				bestDev = di
 				bestFinish = ft
@@ -501,9 +495,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 	prune := func(p int) error {
 		var rest int64
 		for _, id := range queue[p:] {
-			if id != ctx.dead {
-				rest += max(mm.OpBytes(ctx.op(id)), 0)
-			}
+			rest += max(mm.OpBytes(ctx.op(id)), 0)
 		}
 		completes := false
 		for i := range states {
@@ -520,9 +512,6 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 	for p, id := range queue {
 		if aborted {
 			return nil, prune(p)
-		}
-		if id == ctx.dead {
-			continue
 		}
 		if replaying && replay.stop[id] {
 			replaying = false
@@ -577,27 +566,15 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 		return nil, prune(len(queue))
 	}
 
-	// Execution list A: ops by ascending ST (Alg. 1 line 23).
+	// Execution list A: ops by ascending ST (Alg. 1 line 23), ties in
+	// queue order. A tombstoned op goes last; it never reaches a caller.
 	order := sched.Order
-	for i := range order {
-		order[i] = i
+	copy(order, queue)
+	if ctx.dead >= 0 {
+		order[len(queue)] = ctx.dead
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		sa, sb := sched.Start[a], sched.Start[b]
-		if sa != sb {
-			if sa < sb {
-				return -1
-			}
-			return 1
-		}
-		ra, rb := ranks.Rank[a], ranks.Rank[b]
-		if ra != rb {
-			if ra > rb {
-				return -1
-			}
-			return 1
-		}
-		return a - b
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(sched.Start[a], sched.Start[b])
 	})
 	for i, id := range order {
 		sched.Priorities[id] = i

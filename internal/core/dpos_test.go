@@ -381,3 +381,33 @@ func TestDPOSAdaptsToHeterogeneousDevices(t *testing.T) {
 		t.Errorf("fast device got %d of 8 ops, want the majority", fast)
 	}
 }
+
+// TestDPOSZeroCostProducerFirst schedules x -> a -> b where a and b cost
+// nothing to run and every transfer is free, and b has the smaller ID: a
+// must still outrank b, so b starts only after a (which waits for x) is
+// placed.
+func TestDPOSZeroCostProducerFirst(t *testing.T) {
+	g := graph.New()
+	b := g.MustAddOp(&graph.Op{Name: "b", Kind: graph.KindRelu, OutputBytes: 10})
+	a := g.MustAddOp(&graph.Op{Name: "a", Kind: graph.KindRelu, OutputBytes: 10})
+	x := g.MustAddOp(&graph.Op{Name: "x", Kind: graph.KindRelu, OutputBytes: 10})
+	g.MustConnect(x, a, 10)
+	g.MustConnect(a, b, 10)
+	est := &fakeEst{exec: map[string]time.Duration{"x": 10 * time.Microsecond, "a": 0, "b": 0}}
+	c := clusterN(t, 2)
+	r, err := ComputeRanks(g, c, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Rank[a] <= r.Rank[b] || r.Rank[x] <= r.Rank[a] {
+		t.Errorf("ranks x=%v a=%v b=%v: not strictly decreasing along x->a->b", r.Rank[x], r.Rank[a], r.Rank[b])
+	}
+	s, err := DPOS(g, c, est, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Start[b] < s.Finish[a] || s.Start[a] < s.Finish[x] {
+		t.Errorf("starts x=%v a=%v b=%v, finishes x=%v a=%v: a consumer starts before its producer finishes",
+			s.Start[x], s.Start[a], s.Start[b], s.Finish[x], s.Finish[a])
+	}
+}

@@ -396,3 +396,81 @@ func TestComputeStrategyPasses(t *testing.T) {
 		})
 	}
 }
+
+// TestOSDPOSZeroCostTies covers graphs whose split and concat nodes cost
+// nothing to run or to feed (zero-cost transfers): each such node would
+// tie its consumer's rank, and a queue ordered by ID on ties could then
+// schedule the consumer before its producer, with a makespan shorter than
+// the true one. The oracle, which schedules committed clones, and OSDPOS,
+// which schedules overlays, then disagreed on these fixtures. Each must
+// now give the oracle's strategy, and every schedule must start each op
+// after its inputs finish.
+func TestOSDPOSZeroCostTies(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inMiB  int64
+		memory int64
+		convs  []tightConv
+	}{
+		{
+			name: "split choice", inMiB: 4, memory: 13901379,
+			convs: []tightConv{
+				{"c0", 183 * time.Microsecond, 1, 256, "in"},
+				{"c1", 158 * time.Microsecond, 3, 0, "c0"},
+				{"c2", 185 * time.Microsecond, 4, 512, "in"},
+			},
+		},
+		{
+			name: "chain", inMiB: 3, memory: 15567253,
+			convs: []tightConv{
+				{"c0", 61 * time.Microsecond, 2, 256, "in"},
+				{"c1", 199 * time.Microsecond, 4, 256, "c0"},
+				{"c2", 199 * time.Microsecond, 4, 256, "c1"},
+			},
+		},
+		{
+			name: "fork", inMiB: 1, memory: 16810473,
+			convs: []tightConv{
+				{"c0", 151 * time.Microsecond, 4, 0, "in"},
+				{"c1", 93 * time.Microsecond, 4, 256, "c0"},
+				{"c2", 139 * time.Microsecond, 3, 0, "c0"},
+				{"c3", 128 * time.Microsecond, 4, 512, "c1"},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tightGraph(t, tc.inMiB, tc.convs)
+			c, err := device.SingleServer(2, device.WithMemory(tc.memory))
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := &fakeEst{}
+			want, err := osdposOracle(g, c, est, Options{})
+			if err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
+			assertPrecedence(t, "oracle", want)
+			for _, w := range []int{1, 2} {
+				got, err := OSDPOS(g, c, est, Options{Workers: w})
+				if err != nil {
+					t.Fatalf("w=%d: %v", w, err)
+				}
+				assertSameStrategy(t, fmt.Sprintf("w=%d", w), want, got)
+				assertPrecedence(t, fmt.Sprintf("w=%d", w), got)
+			}
+		})
+	}
+}
+
+// assertPrecedence fails the test when a schedule of res starts an op
+// before one of its inputs finishes on the producer.
+func assertPrecedence(t *testing.T, label string, res *SplitResult) {
+	t.Helper()
+	s := res.Schedule
+	for _, e := range res.Graph.Edges() {
+		if s.Start[e.To] < s.Finish[e.From] {
+			t.Errorf("%s: %s starts at %v, before its input %s finishes at %v", label,
+				res.Graph.Op(e.To).Name, s.Start[e.To], res.Graph.Op(e.From).Name, s.Finish[e.From])
+		}
+	}
+}

@@ -6,6 +6,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"fastt/internal/cost"
@@ -33,6 +35,48 @@ type Ranks struct {
 	// contributes >= 0 and is ignored). dposCtx prunes a candidate as soon
 	// as Finish[i] + RestMin[i] reaches the incumbent makespan bound.
 	RestMin []time.Duration
+
+	// queue is DPOS's priority queue: every live op ID (an overlay's
+	// tombstoned target excluded) by decreasing Rank, ties by ascending
+	// ID. Rank strictly decreases along edges, so the queue is a
+	// topological order. computeRanksCtx sorts it once and
+	// deltaRanksOverlay merges it from the base queue; every pass
+	// scheduling under these ranks reads it, concurrently too.
+	queue []int
+	// moved is deltaRanksOverlay's merge scratch, pooled with the Ranks.
+	moved []int
+}
+
+// cmpQueue is the queue order: decreasing Rank, ties by ascending ID.
+func (r *Ranks) cmpQueue(a, b int) int {
+	if ra, rb := r.Rank[a], r.Rank[b]; ra != rb {
+		return cmp.Compare(rb, ra)
+	}
+	return cmp.Compare(a, b)
+}
+
+// accumulate sets Rank[id] and RestMin[id] from id's successors in ctx,
+// whose values must already be final. Rank is kept at least one
+// nanosecond above every successor's, so an op with zero execution time
+// and zero-cost transfers still outranks its consumers and the queue stays
+// topological; an op or transfer of positive cost already has that
+// margin, so the clamp changes no rank of a positive-cost graph.
+func (r *Ranks) accumulate(ctx *scheduleContext, id int) {
+	best, succ, rest := time.Duration(0), time.Duration(-1), time.Duration(0)
+	for _, ei := range ctx.outIdx[id] {
+		to := ctx.edgeAt(ei).To
+		if v := r.CMax[ei] + r.Rank[to]; v > best {
+			best = v
+		}
+		if r.Rank[to] > succ {
+			succ = r.Rank[to]
+		}
+		if v := r.MinW[to] + r.RestMin[to]; v > rest {
+			rest = v
+		}
+	}
+	r.Rank[id] = max(r.W[id]+best, succ+1)
+	r.RestMin[id] = rest
 }
 
 // ComputeRanks computes w_i, c_{i,j} and rank_u for every op of g using the
@@ -63,21 +107,13 @@ func computeRanksCtx(ctx *scheduleContext, lat *costLattice) *Ranks {
 	}
 	// Reverse topological accumulation.
 	for i := len(ctx.topo) - 1; i >= 0; i-- {
-		id := ctx.topo[i]
-		best := time.Duration(0)
-		rest := time.Duration(0)
-		for _, ei := range ctx.outIdx[id] {
-			to := ctx.edgeAt(ei).To
-			if v := r.CMax[ei] + r.Rank[to]; v > best {
-				best = v
-			}
-			if v := r.MinW[to] + r.RestMin[to]; v > rest {
-				rest = v
-			}
-		}
-		r.Rank[id] = r.W[id] + best
-		r.RestMin[id] = rest
+		r.accumulate(ctx, ctx.topo[i])
 	}
+	r.queue = resizeInts(r.queue, n)
+	for i := range r.queue {
+		r.queue[i] = i
+	}
+	slices.SortFunc(r.queue, r.cmpQueue)
 	return r
 }
 
@@ -114,6 +150,11 @@ func ancestorsOf(ctx *scheduleContext, target int) []bool {
 // which restricted to ancestors is a valid reverse order of the overlay
 // (the overlay adds no edges between base ops).
 //
+// The queue is merged rather than sorted: the base queue, minus X and the
+// ancestors whose rank changed, is still in order, so only the delta ops
+// and those ancestors are sorted and merged into it, in O(n + k log k) for
+// k moved ops.
+//
 // bctx/baseRanks describe ov.Base(); octx must come from
 // overlayContext(bctx, ov); anc from ancestorsOf(bctx, target); lat must be
 // a lattice covering the overlay view (extendLattice of the base lattice,
@@ -131,29 +172,16 @@ func deltaRanksOverlay(bctx *scheduleContext, baseRanks *Ranks, octx *scheduleCo
 	copy(r.RestMin, baseRanks.RestMin)
 
 	newOps := ov.NewOps()
+	moved := r.moved[:0]
 	for _, op := range newOps {
 		r.W[op.ID] = lat.wAt(op.ID)
 		r.MinW[op.ID] = lat.minWAt(op.ID)
+		moved = append(moved, op.ID)
 	}
 	for j := range octx.extraEdges {
 		r.CMax[baseE+j] = lat.maxCommAt(baseE + j)
 	}
 
-	recompute := func(id int) {
-		best := time.Duration(0)
-		rest := time.Duration(0)
-		for _, ei := range octx.outIdx[id] {
-			to := octx.edgeAt(ei).To
-			if v := r.CMax[ei] + r.Rank[to]; v > best {
-				best = v
-			}
-			if v := r.MinW[to] + r.RestMin[to]; v > rest {
-				rest = v
-			}
-		}
-		r.Rank[id] = r.W[id] + best
-		r.RestMin[id] = rest
-	}
 	// newOps layout: n sub-ops, then split nodes, then concat nodes.
 	numSubs := ov.N()
 	splitEnd := numSubs
@@ -161,19 +189,39 @@ func deltaRanksOverlay(bctx *scheduleContext, baseRanks *Ranks, octx *scheduleCo
 		splitEnd++
 	}
 	for _, op := range newOps[splitEnd:] { // concat nodes
-		recompute(op.ID)
+		r.accumulate(octx, op.ID)
 	}
 	for _, op := range newOps[:numSubs] { // sub-ops
-		recompute(op.ID)
+		r.accumulate(octx, op.ID)
 	}
 	for _, op := range newOps[numSubs:splitEnd] { // split nodes
-		recompute(op.ID)
+		r.accumulate(octx, op.ID)
 	}
 	for i := len(bctx.topo) - 1; i >= 0; i-- {
 		if id := bctx.topo[i]; anc[id] {
-			recompute(id)
+			r.accumulate(octx, id)
+			if r.Rank[id] != baseRanks.Rank[id] {
+				moved = append(moved, id)
+			}
 		}
 	}
+
+	slices.SortFunc(moved, r.cmpQueue)
+	q := resizeInts(r.queue, octx.nOps-1)
+	i, k := 0, 0
+	for _, id := range baseRanks.queue {
+		if id == octx.dead || (anc[id] && r.Rank[id] != baseRanks.Rank[id]) {
+			continue
+		}
+		for ; k < len(moved) && r.cmpQueue(moved[k], id) < 0; k++ {
+			q[i] = moved[k]
+			i++
+		}
+		q[i] = id
+		i++
+	}
+	copy(q[i:], moved[k:])
+	r.queue, r.moved = q, moved
 	return r
 }
 
