@@ -19,6 +19,12 @@
 #           median is stable run to run.
 #   serve:  BenchmarkServeWarmHit, -benchtime 3s -count 5; the median req/s
 #           and p99-ns are kept.
+#   session: BenchmarkSessionBootstrap, -benchtime 20x -count 5; the median
+#           ns/op and passes/op per cell are kept. Report only: no gate
+#           reads them, because the drift of gates 1 and 3 between runs on
+#           a shared host (ROADMAP.md) is wider than a useful bound. The
+#           passes/op entries are deterministic and move only when the
+#           search's work does.
 #
 # The kept numbers, plus the derived ratios below and the host's core count
 # ("ncpu"), are written to BENCH_osdpos.json and gated against the
@@ -108,10 +114,11 @@ pass allocs -test.bench 'BenchmarkOSDPOSParallel/./workers=1$|BenchmarkDPOSThrou
 	-test.cpu 1 -test.count 10 -test.benchtime 1x -test.benchmem
 servefail=0
 pass serve -test.bench 'BenchmarkServeWarmHit$' -test.count 5 -test.benchtime 3s || servefail=1
+pass session -test.bench 'BenchmarkSessionBootstrap$' -test.count 5 -test.benchtime 20x
 
-# Reduce the three passes to one flat JSON object of medians: ns/op from
+# Reduce the four passes to one flat JSON object of medians: ns/op from
 # the times pass, B/op and allocs/op from the allocs pass, req/s and p99-ns
-# from the serve pass. Non-time metrics are keyed "<benchmark>:<unit>" so
+# from the serve pass, ns/op and passes/op from the session pass. Non-time metrics are keyed "<benchmark>:<unit>" so
 # the flat-key gates below stay trivial.
 awk -v k1="$KEY" -v k8="$KEY8" -v wc="$KEYWC" -v ws="$KEYWS" \
 	-v sc="$KEYSC" -v ss="$KEYSS" -v ncpu="$NCPU" '
@@ -123,10 +130,11 @@ FNR == 1 { src = FILENAME; sub(/.*\//, "", src); sub(/\.raw$/, "", src) }
 		unit = $(i + 1)
 		v = $i + 0
 		key = ""
-		if (src == "times" && unit == "ns/op") {
+		if ((src == "times" || src == "session") && unit == "ns/op") {
 			key = name
 		} else if ((src == "allocs" && (unit == "B/op" || unit == "allocs/op")) ||
-			(src == "serve" && (unit == "req/s" || unit == "p99-ns"))) {
+			(src == "serve" && (unit == "req/s" || unit == "p99-ns")) ||
+			(src == "session" && unit == "passes/op")) {
 			key = name ":" unit
 		}
 		if (key != "") vals[key, ++cnt[key]] = v
@@ -167,7 +175,7 @@ END {
 	printf "  \"warmstart_shrink_speedup\": %.4f,\n", wss
 	printf "  \"parallel_efficiency_8w\": %.4f\n", eff
 	printf "}\n"
-}' "$TMP/times.raw" "$TMP/allocs.raw" "$TMP/serve.raw" >"$OUT"
+}' "$TMP/times.raw" "$TMP/allocs.raw" "$TMP/serve.raw" "$TMP/session.raw" >"$OUT"
 echo "== wrote $OUT"
 
 # jget FILE KEY -> value, empty when absent.
