@@ -80,21 +80,35 @@ func (r *Ranks) accumulate(ctx *scheduleContext, id int) {
 }
 
 // ComputeRanks computes w_i, c_{i,j} and rank_u for every op of g using the
-// estimator, per Sec. 5.1. The returned Ranks is owned by the caller.
+// estimator, per Sec. 5.1. The returned Ranks is owned by the caller. It
+// carries the rank values only: DPOS's priority queue, which no caller
+// outside the package can read, is not sorted.
 func ComputeRanks(g *graph.Graph, cluster *device.Cluster, est cost.Estimator) (*Ranks, error) {
 	ctx, err := contextFor(g)
 	if err != nil {
 		return nil, err
 	}
 	est = cost.ReadSnapshot(est)
-	return computeRanksCtx(ctx, latticeFor(ctx, cluster, est)), nil
+	return rankValues(ctx, latticeFor(ctx, cluster, est)), nil
 }
 
-// computeRanksCtx is the context-based core of ComputeRanks: topological
-// order and edge indexes come from ctx, every cost from the dense lattice
-// resolved for (ctx, cluster, estimator). The result comes from the ranks
-// pool; internal callers release it when done.
+// computeRanksCtx is the context-based core of DPOS's ranks: the rank
+// values of rankValues plus the priority queue, sorted once. The result
+// comes from the ranks pool; internal callers release it when done.
 func computeRanksCtx(ctx *scheduleContext, lat *costLattice) *Ranks {
+	r := rankValues(ctx, lat)
+	r.queue = resizeInts(r.queue, ctx.nOps)
+	for i := range r.queue {
+		r.queue[i] = i
+	}
+	slices.SortFunc(r.queue, r.cmpQueue)
+	return r
+}
+
+// rankValues fills a pooled Ranks with every value but the queue, which it
+// leaves empty: topological order and edge indexes come from ctx, every
+// cost from the dense lattice resolved for (ctx, cluster, estimator).
+func rankValues(ctx *scheduleContext, lat *costLattice) *Ranks {
 	n := ctx.nOps
 	nEdges := ctx.numEdges()
 	r := ranksFromPool(n, nEdges)
@@ -109,11 +123,7 @@ func computeRanksCtx(ctx *scheduleContext, lat *costLattice) *Ranks {
 	for i := len(ctx.topo) - 1; i >= 0; i-- {
 		r.accumulate(ctx, ctx.topo[i])
 	}
-	r.queue = resizeInts(r.queue, n)
-	for i := range r.queue {
-		r.queue[i] = i
-	}
-	slices.SortFunc(r.queue, r.cmpQueue)
+	r.queue = r.queue[:0]
 	return r
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"fastt/internal/cost"
 	"fastt/internal/device"
 	"fastt/internal/graph"
 )
@@ -163,5 +165,40 @@ func TestRanksStrictlyDecreaseAlongEdges(t *testing.T) {
 			t.Errorf("rank did not decrease along edge %d->%d: %v <= %v",
 				e.From, e.To, r.Rank[e.From], r.Rank[e.To])
 		}
+	}
+}
+
+// TestComputeRanksValuesOnly pins ComputeRanks as the rank values of DPOS's
+// own ranks without the queue: every value equals computeRanksCtx's, whose
+// queue is the sorted one, and ComputeRanks leaves the queue empty.
+func TestComputeRanksValuesOnly(t *testing.T) {
+	g, est := diamond(t)
+	c := clusterN(t, 2)
+	r, err := ComputeRanks(g, c, est)
+	if err != nil {
+		t.Fatalf("ComputeRanks: %v", err)
+	}
+	ctx, err := contextFor(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := computeRanksCtx(ctx, latticeFor(ctx, c, cost.ReadSnapshot(est)))
+	defer releaseRanks(full)
+	for _, f := range []struct {
+		name      string
+		got, want []time.Duration
+	}{
+		{"W", r.W, full.W}, {"MinW", r.MinW, full.MinW}, {"CMax", r.CMax, full.CMax},
+		{"Rank", r.Rank, full.Rank}, {"RestMin", r.RestMin, full.RestMin},
+	} {
+		if !slices.Equal(f.got, f.want) {
+			t.Errorf("%s = %v, DPOS's ranks have %v", f.name, f.got, f.want)
+		}
+	}
+	if len(r.queue) != 0 {
+		t.Errorf("ComputeRanks built a queue of %d ops", len(r.queue))
+	}
+	if err := checkQueue(ctx, full); err != nil {
+		t.Errorf("computeRanksCtx queue: %v", err)
 	}
 }

@@ -34,7 +34,10 @@ type Config struct {
 
 // Executor runs one training iteration of the materialized graph under the
 // artifact's placement (and, when enforced, its execution order). The graph
-// must be the artifact's materialized graph — see strategy.Materialize.
+// must be the artifact's materialized graph — see strategy.Materialize. A
+// backend reads only the placement and order, never the fingerprint: a
+// session runs its start strategy while the base graph's fingerprint is
+// still being hashed, and stamps it afterwards.
 type Executor interface {
 	Run(g *graph.Graph, art *strategy.Artifact, cfg Config) (*Result, error)
 }

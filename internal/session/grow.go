@@ -114,9 +114,8 @@ func (s *Session) GrowCtx(ctx context.Context, join device.JoinSpec) (*GrowRepor
 	// candidates that cannot beat it prune early. Unlike the loss path
 	// there is no degradation ladder: the pre-join strategy is the safe
 	// floor.
-	t0 := time.Now()
-	cand, err := s.computeSeeded(ctx, s.seedArtifact())
-	rep.RecomputeWall = time.Since(t0)
+	cand, costHash, wall, err := s.computeSeeded(ctx, s.seedArtifact())
+	rep.RecomputeWall = wall
 	switch {
 	case errors.Is(err, core.ErrNoFeasiblePlacement):
 		return rep, nil
@@ -126,7 +125,7 @@ func (s *Session) GrowCtx(ctx context.Context, join device.JoinSpec) (*GrowRepor
 	if verr := validate.Strategy(cand, s.cluster, validate.Options{}); verr != nil {
 		return rep, nil
 	}
-	next := s.candidateActive(cand)
+	next := s.candidateActive(cand, costHash)
 	m, oom, perr := s.profile(next)
 	if perr != nil {
 		return rep, perr

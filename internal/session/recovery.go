@@ -112,9 +112,8 @@ func (s *Session) recoverOnce(ctx context.Context, lost *runtime.DeviceLostError
 	// survivors, not remapped), and its evaluated makespan prunes most of
 	// the candidate work — recovery no longer pays a cold search.
 	if attempt <= s.cfg.MaxFaultRetries {
-		t0 := time.Now()
-		cand, err := s.computeSeeded(ctx, s.seedArtifact())
-		stats.RecomputeWall += time.Since(t0)
+		cand, costHash, wall, err := s.computeSeeded(ctx, s.seedArtifact())
+		stats.RecomputeWall += wall
 		switch {
 		case errors.Is(err, core.ErrNoFeasiblePlacement):
 			// fall through to the degradation ladder
@@ -124,7 +123,7 @@ func (s *Session) recoverOnce(ctx context.Context, lost *runtime.DeviceLostError
 			// Memory is re-checked here: the failed run's rollback safety
 			// net is gone, so a strategy that cannot fit must not activate.
 			if verr := validate.Strategy(cand, s.cluster, validate.Options{}); verr == nil {
-				next := s.candidateActive(cand)
+				next := s.candidateActive(cand, costHash)
 				m, oom, perr := s.profile(next)
 				if perr != nil {
 					return perr // includes a nested DeviceLostError
@@ -148,7 +147,7 @@ func (s *Session) recoverOnce(ctx context.Context, lost *runtime.DeviceLostError
 // device. It is the "keep training, slower" floor under a fault storm.
 func (s *Session) degradedFallback(stats *RunStats) error {
 	if place, err := placement.ModelParallel(s.base, s.cluster, s.cfg.Memory); err == nil {
-		art := strategy.New(s.base, place, nil, nil, 0, s.provenance(degradedModelParallel))
+		art := strategy.New(s.base, place, nil, nil, 0, s.provenance(degradedModelParallel, s.costHash()))
 		if err := s.installFallback(art, degradedModelParallel, stats); err == nil {
 			return nil
 		} else if lostErr := asDeviceLost(err); lostErr != nil {
@@ -156,7 +155,7 @@ func (s *Session) degradedFallback(stats *RunStats) error {
 		}
 	}
 	place := placement.SingleDevice(s.base)
-	art := strategy.New(s.base, place, nil, nil, 0, s.provenance(degradedSingleDevice))
+	art := strategy.New(s.base, place, nil, nil, 0, s.provenance(degradedSingleDevice, s.costHash()))
 	if err := s.installFallback(art, degradedSingleDevice, stats); err != nil {
 		if lostErr := asDeviceLost(err); lostErr != nil {
 			return lostErr

@@ -358,6 +358,11 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The base graph's fingerprint is hashed beside the start strategy's
+	// feasibility run and profile, which read only its placement. It is
+	// stamped before the start artifact is checkpointed, seeded or returned.
+	fingerprint := spawn(func() string { return strategy.Fingerprint(s.base) })
+	defer fingerprint.wait()
 	start, err := s.startStrategy()
 	if err != nil {
 		return nil, err
@@ -369,6 +374,7 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profile start strategy: %w", err)
 	}
+	start.Fingerprint = fingerprint.wait()
 	s.curMeasured = measured
 	rep.StartMeasured = measured
 	rep.SimulatedOverhead += measured * time.Duration(s.cfg.ProfileIters)
@@ -378,9 +384,8 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 			return nil, err
 		}
 		r := Round{Index: round}
-		t0 := time.Now()
-		cand, err := s.compute(ctx)
-		r.CalcWall = time.Since(t0)
+		cand, costHash, wall, err := s.computeSeeded(ctx, s.cfg.Sched.Seed)
+		r.CalcWall = wall
 		rep.CalcWallTotal += r.CalcWall
 		if errors.Is(err, core.ErrNoFeasiblePlacement) {
 			// The calculator found no placement within memory (its static
@@ -432,7 +437,7 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 		}
 
 		if cand.Predicted < s.curMeasured {
-			next := s.candidateActive(cand)
+			next := s.candidateActive(cand, costHash)
 			if err := s.activate(); err != nil {
 				return nil, fmt.Errorf("round %d: activate: %w", round, err)
 			}
@@ -608,7 +613,7 @@ func (s *Session) refreshStrategy(ctx context.Context, latest time.Duration) (bo
 	// Warm-start from the running strategy re-evaluated under the drifted
 	// cost models: the recompute only matters if it beats what is already
 	// running, so that is the right incumbent to prune against.
-	cand, err := s.computeSeeded(ctx, s.seedArtifact())
+	cand, costHash, _, err := s.computeSeeded(ctx, s.seedArtifact())
 	if errors.Is(err, core.ErrNoFeasiblePlacement) {
 		return false, 0, nil // keep the running strategy
 	}
@@ -622,7 +627,7 @@ func (s *Session) refreshStrategy(ctx context.Context, latest time.Duration) (bo
 		s.curMeasured = latest
 		return false, 0, nil
 	}
-	next := s.candidateActive(cand)
+	next := s.candidateActive(cand, costHash)
 	if err := s.activate(); err != nil {
 		return false, 0, err
 	}
@@ -657,39 +662,52 @@ func (s *Session) advanceTimeline(d time.Duration) {
 
 // candidateActive packages a computed strategy as the would-be active
 // state: the calculator's artifact stamped with this session's provenance
-// (cluster shape and the hash of the cost-model snapshot that justified
-// it), plus the materialized graph.
-func (s *Session) candidateActive(cand *core.Strategy) active {
+// (cluster shape and costHash, the hash of the cost-model state the search
+// read), plus the materialized graph.
+func (s *Session) candidateActive(cand *core.Strategy, costHash string) active {
 	art := cand.Artifact
-	art.Provenance = s.provenance("fastt")
+	art.Provenance = s.provenance("fastt", costHash)
 	return active{graph: cand.Graph, art: &art}
 }
 
 // provenance describes this session's deployment context.
-func (s *Session) provenance(origin string) strategy.Provenance {
-	prov := strategy.Provenance{
-		Origin:  origin,
-		Cluster: strategy.ClusterShapeOf(s.cluster),
+func (s *Session) provenance(origin, costHash string) strategy.Provenance {
+	return strategy.Provenance{
+		Origin:   origin,
+		Cluster:  strategy.ClusterShapeOf(s.cluster),
+		CostHash: costHash,
 	}
-	if hash, err := strategy.HashJSON(s.costs.WriteJSON); err == nil {
-		prov.CostHash = hash
-	}
-	return prov
 }
 
-// compute invokes the strategy calculator — the configured Strategist (the
-// service client path) or the in-process core — on the base graph with the
-// learned cost models.
-func (s *Session) compute(ctx context.Context) (*core.Strategy, error) {
-	return s.computeSeeded(ctx, s.cfg.Sched.Seed)
+// costHash hashes the learned cost models' current state for provenance,
+// or returns "" when they do not serialize.
+func (s *Session) costHash() string {
+	hash, _ := strategy.HashJSON(s.costs.WriteJSON)
+	return hash
 }
 
-// computeSeeded is compute with an explicit warm-start seed overriding any
-// session-configured one. The recovery and elastic-grow recomputes pass the
-// running artifact here: it is a feasible, near-optimal strategy for the
+// computeSeeded invokes the strategy calculator — the configured Strategist
+// (the service client path) or the in-process core — on the base graph with
+// the learned cost models, warm-started from seed. Bootstrap passes the
+// session-configured seed; the recovery and elastic-grow recomputes pass the
+// running artifact: it is a feasible, near-optimal strategy for the
 // same graph, and its evaluated makespan prunes most of the recompute's
 // candidate work (core.Options.Seed).
-func (s *Session) computeSeeded(ctx context.Context, seed *strategy.Artifact) (*core.Strategy, error) {
+//
+// Beside the search it hashes the cost models for the candidate's
+// provenance: nothing writes them before the candidate is profiled, so the
+// hash is of the state the search read. It returns the candidate, that
+// hash, and the search's wall time, which leaves out the join.
+func (s *Session) computeSeeded(ctx context.Context, seed *strategy.Artifact) (*core.Strategy, string, time.Duration, error) {
+	costHash := spawn(s.costHash)
+	t0 := time.Now()
+	cand, err := s.search(ctx, seed)
+	wall := time.Since(t0)
+	return cand, costHash.wait(), wall, err
+}
+
+// search runs the strategy calculator once.
+func (s *Session) search(ctx context.Context, seed *strategy.Artifact) (*core.Strategy, error) {
 	opts := s.cfg.Sched
 	opts.Seed = seed
 	if s.cfg.DisableSplitting {
@@ -716,7 +734,7 @@ func (s *Session) seedArtifact() *strategy.Artifact {
 // memory-balanced model parallelism otherwise.
 func (s *Session) startStrategy() (*strategy.Artifact, error) {
 	if place, err := placement.DataParallel(s.base, s.cluster); err == nil {
-		art := strategy.New(s.base, place, nil, nil, 0, s.provenance("data-parallel"))
+		art := s.startArtifact(place, "data-parallel")
 		if _, err := s.exec.Run(s.base, art, s.runConfig()); err == nil {
 			return art, nil
 		} else {
@@ -730,11 +748,21 @@ func (s *Session) startStrategy() (*strategy.Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoFeasibleStart, err)
 	}
-	art := strategy.New(s.base, place, nil, nil, 0, s.provenance("model-parallel"))
+	art := s.startArtifact(place, "model-parallel")
 	if _, err := s.exec.Run(s.base, art, s.runConfig()); err != nil {
 		return nil, fmt.Errorf("%w: model parallel: %v", ErrNoFeasibleStart, err)
 	}
 	return art, nil
+}
+
+// startArtifact is strategy.New for a start strategy, less the
+// fingerprint, which BootstrapCtx stamps once its hash is joined.
+func (s *Session) startArtifact(place []int, origin string) *strategy.Artifact {
+	return &strategy.Artifact{
+		SchemaVersion: strategy.SchemaVersion,
+		Placement:     place,
+		Provenance:    s.provenance(origin, s.costHash()),
+	}
 }
 
 func (s *Session) runConfig() runtime.Config {
@@ -759,7 +787,24 @@ func (s *Session) runOnce(a active) (*runtime.Result, error) {
 // models from the spans and transfers (the RunMetadata path), and returns
 // the mean iteration time. An OOM is reported separately so the caller can
 // roll back instead of failing.
+//
+// Each finished iteration is observed on one goroutine, in order, beside
+// the next iteration's run: the executor does not read the cost models.
+// profile joins it before returning, so every iteration that ran has been
+// observed.
 func (s *Session) profile(a active) (time.Duration, *runtime.OOMError, error) {
+	runs := make(chan *runtime.Result, s.cfg.ProfileIters) // a send never blocks
+	observed := make(chan struct{})
+	go func() {
+		for res := range runs {
+			s.observe(a.graph, res)
+		}
+		close(observed)
+	}()
+	defer func() {
+		close(runs)
+		<-observed
+	}()
 	var total time.Duration
 	for i := 0; i < s.cfg.ProfileIters; i++ {
 		res, err := s.runOnce(a)
@@ -770,7 +815,7 @@ func (s *Session) profile(a active) (time.Duration, *runtime.OOMError, error) {
 			}
 			return 0, nil, err
 		}
-		s.observe(a.graph, res)
+		runs <- res
 		total += res.Makespan
 	}
 	return total / time.Duration(s.cfg.ProfileIters), nil, nil
@@ -802,12 +847,40 @@ func (s *Session) rollback() error {
 	if err != nil {
 		return fmt.Errorf("restore checkpoint: %w", err)
 	}
+	if fp := strategy.Fingerprint(s.base); snap.Artifact.Fingerprint != fp {
+		return fmt.Errorf("checkpointed strategy: %w: artifact %q, base graph %q",
+			strategy.ErrFingerprint, snap.Artifact.Fingerprint, fp)
+	}
 	g, err := snap.Artifact.Materialize(s.base)
 	if err != nil {
 		return fmt.Errorf("materialize checkpointed strategy: %w", err)
 	}
 	s.cur = active{graph: g, art: &snap.Artifact}
 	return nil
+}
+
+// pending is a result computed on its own goroutine, off the session's
+// critical path.
+type pending[T any] struct {
+	done chan struct{}
+	v    T
+}
+
+// spawn starts f on a new goroutine. Whoever spawns it calls wait before
+// the public method it runs in returns.
+func spawn[T any](f func() T) *pending[T] {
+	p := &pending[T]{done: make(chan struct{})}
+	go func() {
+		p.v = f()
+		close(p.done)
+	}()
+	return p
+}
+
+// wait joins the goroutine and returns its result; it may be called again.
+func (p *pending[T]) wait() T {
+	<-p.done
+	return p.v
 }
 
 func (s *Session) restartCost() time.Duration {

@@ -306,7 +306,7 @@ func TestRollbackRestoresFullArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ComputeStrategy: %v", err)
 	}
-	s.cur = s.candidateActive(cand)
+	s.cur = s.candidateActive(cand, s.costHash())
 	saved := *s.cur.art
 	savedGraph := s.cur.graph
 	if len(saved.Order) == 0 {
