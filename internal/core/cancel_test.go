@@ -74,7 +74,7 @@ func TestComputeStrategyCtxNilContext(t *testing.T) {
 // search, then reruns it with the context cancelled halfway through that
 // count, at every worker configuration. The search must surface
 // context.Canceled, and a fresh search afterwards must still succeed — a
-// cancelled run may not corrupt the shared pools or caches.
+// cancelled run may not corrupt the shared pools.
 func TestComputeStrategyCtxMidSearchCancel(t *testing.T) {
 	g := bottleneckGraph(t, int64(100*time.Microsecond))
 	c := clusterN(t, 2)

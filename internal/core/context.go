@@ -4,16 +4,17 @@ import (
 	"sync"
 	"time"
 
+	"fastt/internal/cost"
+	"fastt/internal/device"
 	"fastt/internal/graph"
 )
 
-// scheduleContext caches the graph-derived structures every scheduling pass
+// scheduleContext holds the graph-derived structures every scheduling pass
 // would otherwise re-derive per call: the topological order, the per-op
 // incoming/outgoing edge indexes, and the entry list. All fields are
 // immutable after construction, so one context may serve any number of
-// concurrent readers. Validity is keyed on (graph pointer, version): a
-// structural mutation of the graph bumps its version counter and makes the
-// context stale.
+// concurrent readers. Each search builds the contexts it schedules on and
+// drops them when it returns: nothing outlives the search that built it.
 //
 // A context views either a real graph (ov == nil) or a graph.SplitOverlay
 // over one (ov != nil, built by overlayContext). Overlay contexts have no
@@ -24,11 +25,11 @@ import (
 type scheduleContext struct {
 	g       *graph.Graph
 	ov      *graph.SplitOverlay // non-nil for overlay views
-	version uint64
-	topo    []int   // nil for overlay contexts
-	outIdx  [][]int // op ID -> global edge indexes (outgoing)
-	inIdx   [][]int // op ID -> global edge indexes (incoming)
-	entries []int   // entry op IDs, ascending
+	topo    []int               // empty for overlay contexts
+	outIdx  [][]int             // op ID -> global edge indexes (outgoing)
+	inIdx   [][]int             // op ID -> global edge indexes (incoming)
+	entries []int               // entry op IDs, ascending
+	indeg   []int               // sortTopo's scratch
 	nOps    int
 	dead    int // tombstoned op ID, or -1
 	// Edge storage: global index ei < len(baseEdges) addresses
@@ -37,34 +38,82 @@ type scheduleContext struct {
 	extraEdges []graph.Edge
 }
 
-// newScheduleContext derives a fresh context; it fails only on cyclic
-// graphs.
+// newScheduleContext derives a context for g; it fails only on cyclic
+// graphs. The edge-index rows are the graph's own (OutEdgeIndex,
+// InEdgeIndex): no context writes to a row it shares (see overlayContext).
+// The context comes from the pool; release it with releaseContext.
 func newScheduleContext(g *graph.Graph) (*scheduleContext, error) {
-	topo, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
+	n := g.NumOps()
+	c := ctxPool.Get().(*scheduleContext)
+	c.g, c.ov = g, nil
+	c.outIdx = resize(c.outIdx, n)
+	c.inIdx = resize(c.inIdx, n)
+	c.entries = c.entries[:0]
+	for id := 0; id < n; id++ {
+		c.outIdx[id] = g.OutEdgeIndex(id)
+		c.inIdx[id] = g.InEdgeIndex(id)
+		if len(c.inIdx[id]) == 0 {
+			c.entries = append(c.entries, id)
+		}
 	}
-	c := &scheduleContext{
-		g:         g,
-		version:   g.Version(),
-		topo:      topo,
-		outIdx:    make([][]int, g.NumOps()),
-		inIdx:     make([][]int, g.NumOps()),
-		entries:   g.EntryOps(),
-		nOps:      g.NumOps(),
-		dead:      -1,
-		baseEdges: g.Edges(),
-	}
-	for i, e := range g.Edges() {
-		c.outIdx[e.From] = append(c.outIdx[e.From], i)
-		c.inIdx[e.To] = append(c.inIdx[e.To], i)
+	c.nOps = n
+	c.dead = -1
+	c.baseEdges = g.Edges()
+	c.extraEdges = nil
+	if !c.sortTopo() {
+		releaseContext(c)
+		return nil, graph.ErrCycle
 	}
 	return c, nil
 }
 
-// stale reports whether the graph was structurally mutated (AddOp, Connect)
-// after the context was built.
-func (c *scheduleContext) stale() bool { return c.version != c.g.Version() }
+// sortTopo fills c.topo with a topological order (Kahn's algorithm, the
+// order itself serving as the queue of ready ops) and reports whether the
+// graph is acyclic. Every reader of topo accumulates values that depend
+// only on an op's successors, so any topological order yields the same
+// bytes.
+func (c *scheduleContext) sortTopo() bool {
+	c.indeg = resize(c.indeg, c.nOps)
+	for id, row := range c.inIdx {
+		c.indeg[id] = len(row)
+	}
+	c.topo = append(resize(c.topo, c.nOps)[:0], c.entries...)
+	for head := 0; head < len(c.topo); head++ {
+		for _, ei := range c.outIdx[c.topo[head]] {
+			to := c.baseEdges[ei].To
+			if c.indeg[to]--; c.indeg[to] == 0 {
+				c.topo = append(c.topo, to)
+			}
+		}
+	}
+	return len(c.topo) == c.nOps
+}
+
+// graphState is what a search derives from one graph before scheduling
+// it: the context, the cost lattice resolved on it and the ranks computed
+// from both, all pooled. The search that builds it releases it.
+type graphState struct {
+	ctx   *scheduleContext
+	lat   *costLattice
+	ranks *Ranks
+}
+
+// newGraphState builds the scheduling state of g on devs under est.
+func newGraphState(g *graph.Graph, devs []*device.Device, est cost.Estimator) (graphState, error) {
+	ctx, err := newScheduleContext(g)
+	if err != nil {
+		return graphState{}, err
+	}
+	lat := buildLattice(ctx, devs, est)
+	return graphState{ctx: ctx, lat: lat, ranks: computeRanksCtx(ctx, lat)}, nil
+}
+
+// release recycles the state once nothing reads it.
+func (s graphState) release() {
+	releaseRanks(s.ranks)
+	releaseLattice(s.lat)
+	releaseContext(s.ctx)
+}
 
 // edgeAt resolves a global edge index.
 func (c *scheduleContext) edgeAt(ei int) graph.Edge {
@@ -96,16 +145,10 @@ func (c *scheduleContext) opByName(name string) (*graph.Op, bool) {
 	return c.g.OpByName(name)
 }
 
-// overlayCtxPool recycles overlay contexts: OS-DPOS builds one per split
-// candidate, and the outIdx/inIdx headers are the dominant allocation.
-var overlayCtxPool = sync.Pool{New: func() any { return &scheduleContext{} }}
-
-func resizeRows(s [][]int, n int) [][]int {
-	if cap(s) < n {
-		return make([][]int, n)
-	}
-	return s[:n]
-}
+// ctxPool recycles contexts: OS-DPOS builds an overlay context per split
+// candidate and a graph context per committed round, and the outIdx/inIdx
+// headers are the dominant allocation.
+var ctxPool = sync.Pool{New: func() any { return &scheduleContext{} }}
 
 // dropEdge returns a copy of an edge-index row without ei, with spare
 // capacity for the single replacement edge the overlay appends.
@@ -129,24 +172,23 @@ func dropEdge(row []int, ei int) []int {
 // decisions downstream are identical to the clone path's.
 //
 // base must be the context of ov.Base(). The returned context goes back to
-// the pool via releaseOverlayContext.
+// the pool via releaseContext.
 func overlayContext(base *scheduleContext, ov *graph.SplitOverlay) *scheduleContext {
 	baseN := base.nOps
 	nOps := ov.NumOps()
 	baseE := len(base.baseEdges)
 	tgt := ov.Target().ID
 
-	c := overlayCtxPool.Get().(*scheduleContext)
+	c := ctxPool.Get().(*scheduleContext)
 	c.g = base.g
 	c.ov = ov
-	c.version = base.version
-	c.topo = nil
+	c.topo = c.topo[:0]
 	c.nOps = nOps
 	c.dead = tgt
 	c.baseEdges = base.baseEdges
 	c.extraEdges = ov.NewEdges()
-	c.outIdx = resizeRows(c.outIdx, nOps)
-	c.inIdx = resizeRows(c.inIdx, nOps)
+	c.outIdx = resize(c.outIdx, nOps)
+	c.inIdx = resize(c.inIdx, nOps)
 	copy(c.outIdx, base.outIdx)
 	copy(c.inIdx, base.inIdx)
 	for i := baseN; i < nOps; i++ {
@@ -188,59 +230,14 @@ func overlayContext(base *scheduleContext, ov *graph.SplitOverlay) *scheduleCont
 	return c
 }
 
-// releaseOverlayContext recycles a context produced by overlayContext.
-func releaseOverlayContext(c *scheduleContext) {
+// releaseContext recycles a context from newScheduleContext or
+// overlayContext once nothing reads it. It drops the graph, overlay and
+// edge storage, so a pooled context keeps no search's graph alive.
+func releaseContext(c *scheduleContext) {
 	if c != nil {
-		overlayCtxPool.Put(c)
+		c.g, c.ov, c.baseEdges, c.extraEdges = nil, nil, nil, nil
+		ctxPool.Put(c)
 	}
-}
-
-// ctxCacheSize bounds the global context cache. Each cached entry keeps its
-// graph reachable, so the cache is a small fixed ring rather than an
-// unbounded map: repeated calculator invocations over the handful of live
-// graphs (the session's model graph, the gsc/OS-DPOS working graph) hit,
-// and throwaway candidate graphs cycle out.
-const ctxCacheSize = 8
-
-var ctxCache struct {
-	sync.Mutex
-	entries [ctxCacheSize]*scheduleContext
-	next    int
-}
-
-// contextFor returns a scheduleContext for g, reusing a cached one when g
-// was seen before and has not been mutated since. A stale entry for the
-// same graph is replaced in place.
-func contextFor(g *graph.Graph) (*scheduleContext, error) {
-	ctxCache.Lock()
-	for _, c := range ctxCache.entries {
-		if c != nil && c.g == g && !c.stale() {
-			ctxCache.Unlock()
-			return c, nil
-		}
-	}
-	ctxCache.Unlock()
-
-	c, err := newScheduleContext(g)
-	if err != nil {
-		return nil, err
-	}
-
-	ctxCache.Lock()
-	slot := -1
-	for i, old := range ctxCache.entries {
-		if old != nil && old.g == g {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
-		slot = ctxCache.next
-		ctxCache.next = (ctxCache.next + 1) % ctxCacheSize
-	}
-	ctxCache.entries[slot] = c
-	ctxCache.Unlock()
-	return c, nil
 }
 
 // Scratch recycling. OS-DPOS runs one full DPOS per candidate split, and a
@@ -248,28 +245,13 @@ func contextFor(g *graph.Graph) (*scheduleContext, error) {
 // run re-allocates O(ops + edges + devices) working state. sync.Pool keeps
 // the recycling safe for the concurrent candidate workers.
 
-func resizeInts(s []int, n int) []int {
+// resize returns s resliced to length n, without zeroing, reallocating
+// when its capacity falls short. A new buffer gets an eighth of headroom:
+// each split OS-DPOS commits grows the graph by a few ops, and without it
+// every pooled buffer would be re-allocated at every commit.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		s = make([]bool, n)
-		return s
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-func resizeDurations(s []time.Duration, n int) []time.Duration {
-	if cap(s) < n {
-		return make([]time.Duration, n)
+		return make([]T, n, n+n/8)
 	}
 	return s[:n]
 }
@@ -281,11 +263,11 @@ var ranksPool = sync.Pool{New: func() any { return &Ranks{} }}
 // sized and filled by the rank computation that needs one.
 func ranksFromPool(nOps, nEdges int) *Ranks {
 	r := ranksPool.Get().(*Ranks)
-	r.W = resizeDurations(r.W, nOps)
-	r.MinW = resizeDurations(r.MinW, nOps)
-	r.CMax = resizeDurations(r.CMax, nEdges)
-	r.Rank = resizeDurations(r.Rank, nOps)
-	r.RestMin = resizeDurations(r.RestMin, nOps)
+	r.W = resize(r.W, nOps)
+	r.MinW = resize(r.MinW, nOps)
+	r.CMax = resize(r.CMax, nEdges)
+	r.Rank = resize(r.Rank, nOps)
+	r.RestMin = resize(r.RestMin, nOps)
 	return r
 }
 
@@ -303,11 +285,11 @@ var schedulePool = sync.Pool{New: func() any { return &Schedule{} }}
 // Start/Finish/Placement/Order/Priorities are fully written by dposCtx.
 func scheduleFromPool(n int) *Schedule {
 	s := schedulePool.Get().(*Schedule)
-	s.Placement = resizeInts(s.Placement, n)
-	s.Order = resizeInts(s.Order, n)
-	s.Priorities = resizeInts(s.Priorities, n)
-	s.Start = resizeDurations(s.Start, n)
-	s.Finish = resizeDurations(s.Finish, n)
+	s.Placement = resize(s.Placement, n)
+	s.Order = resize(s.Order, n)
+	s.Priorities = resize(s.Priorities, n)
+	s.Start = resize(s.Start, n)
+	s.Finish = resize(s.Finish, n)
 	s.Makespan = 0
 	s.CriticalPath = nil
 	return s
@@ -319,13 +301,6 @@ func releaseSchedule(s *Schedule) {
 	if s != nil {
 		schedulePool.Put(s)
 	}
-}
-
-func resizeUint64s(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
 }
 
 // dposScratch is the per-run working state of one DPOS list-scheduling
@@ -366,8 +341,10 @@ var scratchPool = sync.Pool{New: func() any { return &dposScratch{} }}
 // reset prepares the scratch for one run and returns the run epoch that
 // validates copyDone entries.
 func (s *dposScratch) reset(nOps, nDevs int) uint64 {
-	s.onCP = resizeBools(s.onCP, nOps)
-	s.placed = resizeBools(s.placed, nOps)
+	s.onCP = resize(s.onCP, nOps)
+	clear(s.onCP)
+	s.placed = resize(s.placed, nOps)
+	clear(s.placed)
 	if cap(s.states) >= nDevs {
 		s.states = s.states[:nDevs]
 	} else {
@@ -378,17 +355,17 @@ func (s *dposScratch) reset(nOps, nDevs int) uint64 {
 		s.states[i].memFree = 0
 		s.states[i].lastEnd = 0
 	}
-	s.chanAvail = resizeDurations(s.chanAvail, nDevs*nDevs)
+	s.chanAvail = resize(s.chanAvail, nDevs*nDevs)
 	for i := range s.chanAvail {
 		s.chanAvail[i] = 0
 	}
-	s.probeChan = resizeDurations(s.probeChan, nDevs*nDevs)
-	s.probeCEp = resizeUint64s(s.probeCEp, nDevs*nDevs)
-	s.copyDone = resizeDurations(s.copyDone, nOps*nDevs)
-	s.copyEpoch = resizeUint64s(s.copyEpoch, nOps*nDevs)
-	s.probeCopy = resizeDurations(s.probeCopy, nOps*nDevs)
-	s.probeDEp = resizeUint64s(s.probeDEp, nOps*nDevs)
-	s.probeReady = resizeDurations(s.probeReady, nDevs)
+	s.probeChan = resize(s.probeChan, nDevs*nDevs)
+	s.probeCEp = resize(s.probeCEp, nDevs*nDevs)
+	s.copyDone = resize(s.copyDone, nOps*nDevs)
+	s.copyEpoch = resize(s.copyEpoch, nOps*nDevs)
+	s.probeCopy = resize(s.probeCopy, nOps*nDevs)
+	s.probeDEp = resize(s.probeDEp, nOps*nDevs)
+	s.probeReady = resize(s.probeReady, nDevs)
 	s.epoch++
 	return s.epoch
 }

@@ -234,30 +234,12 @@ func (d *deviceState) commit(iv interval) {
 // list scheduling with critical-path-aware device selection and
 // insertion-based earliest-finish-time placement for off-path operations.
 func DPOS(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*Schedule, error) {
-	est = cost.ReadSnapshot(est)
-	ctx, err := contextFor(g)
+	st, err := newGraphState(g, cluster.Devices(), cost.ReadSnapshot(est))
 	if err != nil {
 		return nil, fmt.Errorf("compute ranks: %w", err)
 	}
-	lat := latticeFor(ctx, cluster, est)
-	ranks := computeRanksCtx(ctx, lat)
-	defer releaseRanks(ranks)
-	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil, nil)
-}
-
-// dposFresh schedules a throwaway graph (a re-materialized seed): the
-// context and lattice are derived locally and never enter the global
-// caches, exactly like the graph itself.
-func dposFresh(g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
-	opts Options) (*Schedule, error) {
-	ctx, err := newScheduleContext(g)
-	if err != nil {
-		return nil, err
-	}
-	lat := buildLattice(ctx, cluster.Devices(), est)
-	ranks := computeRanksCtx(ctx, lat)
-	defer releaseRanks(ranks)
-	return dposCtx(ctx, cluster, lat, opts, ranks, 0, nil, nil)
+	defer st.release()
+	return dposCtx(st.ctx, cluster, st.lat, opts, st.ranks, 0, nil, nil)
 }
 
 // dposCtx is the core list scheduler. Every cost it consumes comes

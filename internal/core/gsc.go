@@ -160,7 +160,7 @@ func ColocateSyncCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluste
 	if err != nil {
 		return nil, nil, err
 	}
-	releaseRanks(b.ranks)
+	b.release()
 	return b.pins, b.sched, nil
 }
 
@@ -181,7 +181,7 @@ func colocateSync(ctx context.Context, g *graph.Graph, cluster *device.Cluster, 
 	sctx, lat, ranks := b.ctx, b.lat, b.ranks
 	fail := func(err error) (*baseSchedule, error) {
 		releaseSchedule(b.sched)
-		releaseRanks(ranks)
+		b.release()
 		return nil, err
 	}
 	workers := opts.WorkerCount()

@@ -27,8 +27,8 @@ func evalOverlay(t *testing.T, baseCtx *scheduleContext, baseRanks *Ranks, anc [
 	ranks := deltaRanksOverlay(baseCtx, baseRanks, octx, anc, clat)
 	s, err := dposCtx(octx, cluster, clat, Options{}, ranks, 0, nil, nil)
 	releaseRanks(ranks)
-	releaseLattice(clat)
-	releaseOverlayContext(octx)
+	releaseExtension(clat)
+	releaseContext(octx)
 	return ov, s, err
 }
 
@@ -52,11 +52,11 @@ func TestOverlayCandidateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseCtx, err := contextFor(g)
+			baseCtx, err := newScheduleContext(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseLat := latticeFor(baseCtx, cluster, est)
+			baseLat := buildLattice(baseCtx, cluster.Devices(), est)
 			baseRanks := computeRanksCtx(baseCtx, baseLat)
 			defer releaseRanks(baseRanks)
 
@@ -180,11 +180,11 @@ func TestRestMinIsValidLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, err := contextFor(g)
+		ctx, err := newScheduleContext(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat := latticeFor(ctx, cluster, est)
+		lat := buildLattice(ctx, cluster.Devices(), est)
 		ranks := computeRanksCtx(ctx, lat)
 		sched, err := dposCtx(ctx, cluster, lat, Options{}, ranks, 0, nil, nil)
 		if err != nil {
@@ -207,11 +207,11 @@ func TestRestMinIsValidLowerBound(t *testing.T) {
 func TestDPOSCtxPrunes(t *testing.T) {
 	g, est := diamond(t)
 	c := clusterN(t, 2)
-	ctx, err := contextFor(g)
+	ctx, err := newScheduleContext(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := latticeFor(ctx, c, est)
+	lat := buildLattice(ctx, c.Devices(), est)
 	ranks := computeRanksCtx(ctx, lat)
 	defer releaseRanks(ranks)
 

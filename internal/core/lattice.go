@@ -136,32 +136,40 @@ func gridMax(grid []time.Duration) time.Duration {
 	return m
 }
 
+// latPool recycles base lattices: every search builds one per graph it
+// schedules (the initial graph and each committed split graph).
+var latPool = sync.Pool{New: func() any { return &costLattice{} }}
+
 // buildLattice resolves the full lattice for a context, sharing one comm
 // grid per distinct tensor size (see costLattice). It accepts both graph
 // and overlay contexts; a tombstoned op keeps a zero row, which is never
-// read because the dead op is never scheduled or ranked.
+// read because the dead op is never scheduled or ranked. The lattice comes
+// from the pool; release it with releaseLattice.
 func buildLattice(ctx *scheduleContext, devs []*device.Device,
 	est cost.Estimator) *costLattice {
 	nd := len(devs)
 	nOps := ctx.nOps
 	nEdges := ctx.numEdges()
-	l := &costLattice{
-		nDevs:     nd,
-		baseOps:   nOps,
-		baseEdges: nEdges,
-		exec:      make([]time.Duration, nOps*nd),
-		maxW:      make([]time.Duration, nOps),
-		minW:      make([]time.Duration, nOps),
-		classOf:   make([]int32, nEdges),
-	}
+	l := latPool.Get().(*costLattice)
+	l.nDevs, l.baseOps, l.baseEdges = nd, nOps, nEdges
+	l.exec = resize(l.exec, nOps*nd)
+	l.maxW = resize(l.maxW, nOps)
+	l.minW = resize(l.minW, nOps)
+	l.classOf = resize(l.classOf, nEdges)
+	l.comm, l.maxComm = l.comm[:0], l.maxComm[:0]
 	for id := 0; id < nOps; id++ {
 		if id == ctx.dead {
+			clear(l.exec[id*nd : (id+1)*nd])
+			l.maxW[id], l.minW[id] = 0, 0
 			continue
 		}
 		l.maxW[id], l.minW[id] = fillExecStats(
 			l.exec[id*nd:(id+1)*nd], est, ctx.op(id), devs)
 	}
-	l.classes = make(map[int64]int32)
+	if l.classes == nil {
+		l.classes = make(map[int64]int32)
+	}
+	clear(l.classes)
 	for ei := 0; ei < nEdges; ei++ {
 		b := ctx.edgeAt(ei).Bytes
 		c, ok := l.classes[b]
@@ -179,16 +187,17 @@ func buildLattice(ctx *scheduleContext, devs []*device.Device,
 	return l
 }
 
+// releaseLattice recycles a lattice from buildLattice once nothing reads
+// it, extensions of it included.
+func releaseLattice(l *costLattice) {
+	if l != nil {
+		latPool.Put(l)
+	}
+}
+
 // latExtPool recycles extension lattices: OS-DPOS builds one per overlay
 // candidate, and the ext backing arrays dominate the allocation.
 var latExtPool = sync.Pool{New: func() any { return &costLattice{} }}
-
-func resizeInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
 
 // extendLattice derives a candidate lattice from the base graph's lattice
 // in O(Δ · nDevs²): base arrays are shared via copied slice headers, the
@@ -196,7 +205,7 @@ func resizeInt32s(s []int32, n int) []int32 {
 // the frozen base class map first, then against the (tiny) extension class
 // list, with new sizes resolved from the estimator. octx must come from
 // overlayContext over the context base was built for. Release with
-// releaseLattice.
+// releaseExtension.
 func extendLattice(base *costLattice, octx *scheduleContext,
 	devs []*device.Device, est cost.Estimator) *costLattice {
 	nd := base.nDevs
@@ -208,10 +217,10 @@ func extendLattice(base *costLattice, octx *scheduleContext,
 	extExec, extMaxW, extMinW := l.extExec, l.extMaxW, l.extMinW
 	extClassOf, extComm, extMaxComm, extBytes := l.extClassOf, l.extComm, l.extMaxComm, l.extBytes
 	*l = *base
-	l.extExec = resizeDurations(extExec, deltaOps*nd)
-	l.extMaxW = resizeDurations(extMaxW, deltaOps)
-	l.extMinW = resizeDurations(extMinW, deltaOps)
-	l.extClassOf = resizeInt32s(extClassOf, deltaEdges)
+	l.extExec = resize(extExec, deltaOps*nd)
+	l.extMaxW = resize(extMaxW, deltaOps)
+	l.extMinW = resize(extMinW, deltaOps)
+	l.extClassOf = resize(extClassOf, deltaEdges)
 	l.extComm = extComm[:0]
 	l.extMaxComm = extMaxComm[:0]
 	l.extBytes = extBytes[:0]
@@ -248,69 +257,11 @@ func extendLattice(base *costLattice, octx *scheduleContext,
 	return l
 }
 
-// releaseLattice recycles an extension lattice produced by extendLattice.
-// Base lattices (buildLattice) are never pooled: cached ones stay live in
-// the ring below, uncached ones are rare enough to leave to the GC.
-func releaseLattice(l *costLattice) {
+// releaseExtension recycles an extension lattice from extendLattice. The
+// extension pool is kept apart from latPool because an extension shares
+// its base's arrays.
+func releaseExtension(l *costLattice) {
 	if l != nil {
 		latExtPool.Put(l)
 	}
-}
-
-// latCacheSize bounds the global lattice cache; sized like the context ring
-// so the handful of live (graph, estimator) pairs of a calculation hit.
-const latCacheSize = 8
-
-var latCache struct {
-	sync.Mutex
-	entries [latCacheSize]latEntry
-	next    int
-}
-
-type latEntry struct {
-	ctx     *scheduleContext
-	cluster *device.Cluster
-	est     cost.Estimator
-	lat     *costLattice
-}
-
-// latticeFor returns the dense cost lattice for (ctx, cluster, est).
-// Results are cached only for estimators that guarantee immutable
-// predictions (cost.Frozen): snapshots and oracles hit across repeated
-// schedules of one graph; a mutable learned model is resolved fresh every
-// call so later observations are never masked by a stale table.
-func latticeFor(ctx *scheduleContext, cluster *device.Cluster,
-	est cost.Estimator) *costLattice {
-	if !cost.IsFrozen(est) {
-		return buildLattice(ctx, cluster.Devices(), est)
-	}
-	latCache.Lock()
-	for i := range latCache.entries {
-		e := &latCache.entries[i]
-		if e.ctx == ctx && e.cluster == cluster && e.est == est && !ctx.stale() {
-			l := e.lat
-			latCache.Unlock()
-			return l
-		}
-	}
-	latCache.Unlock()
-
-	l := buildLattice(ctx, cluster.Devices(), est)
-
-	latCache.Lock()
-	slot := -1
-	for i := range latCache.entries {
-		e := &latCache.entries[i]
-		if e.ctx == ctx && e.cluster == cluster && e.est == est {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
-		slot = latCache.next
-		latCache.next = (latCache.next + 1) % latCacheSize
-	}
-	latCache.entries[slot] = latEntry{ctx: ctx, cluster: cluster, est: est, lat: l}
-	latCache.Unlock()
-	return l
 }

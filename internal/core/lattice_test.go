@@ -27,11 +27,11 @@ func TestLatticeMatchesEstimator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, err := contextFor(g)
+		ctx, err := newScheduleContext(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat := latticeFor(ctx, cluster, est)
+		lat := buildLattice(ctx, cluster.Devices(), est)
 		for id := 0; id < ctx.nOps; id++ {
 			op := ctx.op(id)
 			var maxW, minW int64
@@ -96,11 +96,11 @@ func TestExtendLatticeMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, err := contextFor(g)
+		ctx, err := newScheduleContext(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := latticeFor(ctx, cluster, est)
+		base := buildLattice(ctx, cluster.Devices(), est)
 		tested := false
 		for opID := 0; opID < g.NumOps() && !tested; opID++ {
 			dims := g.Op(opID).SplittableDims()
@@ -145,8 +145,8 @@ func TestExtendLatticeMatchesRebuild(t *testing.T) {
 					}
 				}
 			}
-			releaseLattice(ext)
-			releaseOverlayContext(octx)
+			releaseExtension(ext)
+			releaseContext(octx)
 		}
 		if !tested {
 			t.Fatalf("%s: no splittable op; extension untested", spec.Name)

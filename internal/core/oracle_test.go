@@ -100,11 +100,11 @@ func osdposOracle(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, o
 // comm-class lattice as well as on the direct one.
 func osdposOracleOn(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options,
 	build latticeBuilder) (*SplitResult, error) {
-	baseCtx, err := contextFor(g)
+	baseCtx, err := newScheduleContext(g)
 	if err != nil {
 		return nil, err
 	}
-	baseLat := latticeFor(baseCtx, cluster, est)
+	baseLat := buildLattice(baseCtx, cluster.Devices(), est)
 	baseRanks := computeRanksCtx(baseCtx, baseLat)
 	sched, err := dposCtx(baseCtx, cluster, baseLat, opts, baseRanks, 0, nil, nil)
 	releaseRanks(baseRanks)

@@ -193,14 +193,12 @@ func buildPlan(g *graph.Graph, cp []int, numDev, maxSplitOps int) []roundPlan {
 }
 
 // roundBase is the immutable-during-fan-out state one round's candidates
-// are evaluated against: the current graph, its cached scheduling context,
-// dense cost lattice and ranks, the split target resolved in that graph,
+// are evaluated against: the current graph, its scheduling state (context,
+// dense cost lattice and ranks), the split target resolved in that graph,
 // and the incumbent makespan the round must strictly beat.
 type roundBase struct {
-	g     *graph.Graph
-	ctx   *scheduleContext
-	lat   *costLattice
-	ranks *Ranks
+	g *graph.Graph
+	graphState
 	anc   []bool // ancestors of curID
 	curID int    // split target op ID in g; -1 when unresolved
 	ftOld time.Duration
@@ -245,15 +243,14 @@ func (o *osdposRun) retarget(b *roundBase, planIdx int) {
 }
 
 // makeBase materializes graph g into the evaluation base for round planIdx
-// with incumbent ftOld. The returned base's ranks come from the pool; the
-// next commit (or the end of the search) releases them.
+// with incumbent ftOld. The returned base's state comes from the pools; the
+// next commit (or the end of the search) releases it.
 func (o *osdposRun) makeBase(g *graph.Graph, planIdx int, ftOld time.Duration) (*roundBase, error) {
-	ctx, err := contextFor(g)
+	st, err := newGraphState(g, o.devs, o.est)
 	if err != nil {
 		return nil, err
 	}
-	lat := latticeFor(ctx, o.cluster, o.est)
-	b := &roundBase{g: g, ctx: ctx, lat: lat, ranks: computeRanksCtx(ctx, lat), ftOld: ftOld}
+	b := &roundBase{g: g, graphState: st, ftOld: ftOld}
 	o.retarget(b, planIdx)
 	return b, nil
 }
@@ -272,8 +269,8 @@ func (o *osdposRun) evalCand(b *roundBase, c splitCand, bound time.Duration, liv
 	o.passes.Add(1)
 	s, err := dposCtx(octx, o.cluster, clat, o.opts, ranks, bound, live, nil)
 	releaseRanks(ranks)
-	releaseLattice(clat)
-	releaseOverlayContext(octx)
+	releaseExtension(clat)
+	releaseContext(octx)
 	if err != nil {
 		var pe *prunedError
 		if errors.As(err, &pe) {
@@ -432,7 +429,7 @@ func (o *osdposRun) commitWinner(b *roundBase, cands []splitCand, results []cand
 	o.res.Splits = append(o.res.Splits, graph.SplitDecision{
 		OpName: o.plan[planIdx].opName, Dim: cands[bestIdx].dim, N: cands[bestIdx].n,
 	})
-	releaseRanks(b.ranks)
+	b.release()
 	return nb, nil
 }
 
@@ -493,7 +490,7 @@ func (o *osdposRun) run(base *roundBase) (*roundBase, error) {
 // across goroutines (fanOut) and the round joins before it commits. Each
 // candidate is evaluated incrementally: a
 // copy-on-write graph.SplitOverlay records the rewrite as a delta,
-// overlayContext patches the cached edge indexes in O(Δ), extendLattice
+// overlayContext patches the base edge indexes in O(Δ), extendLattice
 // patches the dense cost lattice in O(Δ), deltaRanksOverlay reuses the
 // base ranks everywhere outside the rewritten region and the target's
 // ancestors, and dposCtx runs under the incumbent-makespan bound so
@@ -532,43 +529,39 @@ func OSDPOSCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est
 }
 
 // baseSchedule is a schedule of a graph under Options.Pinned, with the
-// scheduling context, lattice and ranks it was computed from and the DPOS
-// passes spent on it. ColocateSync's result is one: OS-DPOS under the pins
-// ColocateSync accepted starts from exactly that schedule.
+// scheduling state it was computed from and the DPOS passes spent on it.
+// ColocateSync's result is one: OS-DPOS under the pins ColocateSync
+// accepted starts from exactly that schedule.
 type baseSchedule struct {
-	ctx    *scheduleContext
-	lat    *costLattice
-	ranks  *Ranks // pooled; owned by the holder
-	sched  *Schedule
-	pins   map[string]int // accepted colocation pins (ColocateSync only)
-	passes int
+	graphState // pooled; owned by the holder
+	sched      *Schedule
+	pins       map[string]int // accepted colocation pins (ColocateSync only)
+	passes     int
 }
 
 // initialPass runs the one unbounded DPOS pass of g that both ColocateSync
 // and OS-DPOS start from.
 func initialPass(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*baseSchedule, error) {
-	ctx, err := contextFor(g)
+	st, err := newGraphState(g, cluster.Devices(), est)
 	if err != nil {
 		return nil, err
 	}
-	lat := latticeFor(ctx, cluster, est)
-	ranks := computeRanksCtx(ctx, lat)
-	sched, err := dposCtx(ctx, cluster, lat, opts, ranks, 0, nil, nil)
+	sched, err := dposCtx(st.ctx, cluster, st.lat, opts, st.ranks, 0, nil, nil)
 	if err != nil {
-		releaseRanks(ranks)
+		st.release()
 		return nil, err
 	}
-	return &baseSchedule{ctx: ctx, lat: lat, ranks: ranks, sched: sched, passes: 1}, nil
+	return &baseSchedule{graphState: st, sched: sched, passes: 1}, nil
 }
 
 // osdposFrom runs OS-DPOS from start, a schedule of g under opts.Pinned on
 // the snapshotted estimator est. It takes ownership of start's schedule and
-// ranks.
+// state.
 func osdposFrom(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est cost.Estimator,
 	opts Options, start *baseSchedule) (*SplitResult, error) {
-	baseCtx, baseLat, baseRanks, sched := start.ctx, start.lat, start.ranks, start.sched
+	sched := start.sched
 	if err := ctx.Err(); err != nil {
-		releaseRanks(baseRanks)
+		start.release()
 		releaseSchedule(sched)
 		return nil, err
 	}
@@ -591,7 +584,7 @@ func osdposFrom(ctx context.Context, g *graph.Graph, cluster *device.Cluster, es
 			res.Passes++
 		}
 		if err != nil {
-			releaseRanks(baseRanks)
+			start.release()
 			releaseSchedule(sched)
 			return nil, err
 		}
@@ -607,7 +600,7 @@ func osdposFrom(ctx context.Context, g *graph.Graph, cluster *device.Cluster, es
 
 	// Critical path based on S_new and G (Alg. 2 line 4): ranks evaluated
 	// at the placed devices rather than worst-case maxima.
-	cp, placedRanks := placedCriticalPath(baseCtx, baseLat, sched)
+	cp, placedRanks := placedCriticalPath(start.ctx, start.lat, sched)
 	// Sort CP by descending computation time (line 5).
 	execOnPlaced := placedRanks.W
 	sort.SliceStable(cp, func(a, b int) bool {
@@ -625,11 +618,11 @@ func osdposFrom(ctx context.Context, g *graph.Graph, cluster *device.Cluster, es
 		plan:    buildPlan(g, cp, cluster.NumDevices(), opts.MaxSplitOps),
 		res:     res,
 	}
-	base := &roundBase{g: g, ctx: baseCtx, lat: baseLat, ranks: baseRanks, ftOld: ftOld}
+	base := &roundBase{g: g, graphState: start.graphState, ftOld: ftOld}
 	o.retarget(base, 0)
 
 	final, err := o.run(base)
-	releaseRanks(final.ranks)
+	final.release()
 	res.Passes += int(o.passes.Load())
 	if err != nil {
 		if seedSched != nil {
@@ -673,7 +666,7 @@ func evalSeed(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts 
 		return nil, nil, nil
 	}
 	opts.Seed = nil
-	sched, err := dposFresh(sg, cluster, est, opts)
+	sched, err := DPOS(sg, cluster, est, opts)
 	if err != nil {
 		return sg, nil, nil
 	}

@@ -319,54 +319,8 @@ func TestColocateSyncWorkerIndependence(t *testing.T) {
 	}
 }
 
-func TestScheduleContextStaleness(t *testing.T) {
-	g, est := diamond(t)
-	c := clusterN(t, 2)
-
-	ctx, err := contextFor(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctx.stale() {
-		t.Fatal("fresh context reports stale")
-	}
-	if cached, err := contextFor(g); err != nil || cached != ctx {
-		t.Fatalf("unmutated graph must hit the cache (err=%v, same=%v)", err, cached == ctx)
-	}
-
-	// Structural rewrite after the context was cached.
-	id := g.MustAddOp(&graph.Op{Name: "late", FLOPs: 1, Batch: 1})
-	g.MustConnect(0, id, 64)
-	if !ctx.stale() {
-		t.Fatal("context not stale after AddOp+Connect")
-	}
-	fresh, err := contextFor(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == ctx {
-		t.Fatal("stale context returned from cache")
-	}
-	if len(fresh.topo) != g.NumOps() {
-		t.Fatalf("rebuilt topo has %d ops, graph has %d", len(fresh.topo), g.NumOps())
-	}
-
-	// The calculator must see the mutated graph, not the cached shape.
-	sched, err := DPOS(g, c, est, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sched.Placement) != g.NumOps() {
-		t.Fatalf("schedule covers %d ops, graph has %d", len(sched.Placement), g.NumOps())
-	}
-	if sched.Placement[id] < 0 {
-		t.Fatal("late op left unplaced")
-	}
-}
-
-// TestDPOSRepeatedCallsStable guards the context cache + scratch recycling:
-// repeated DPOS calls over one unchanged graph must keep returning the same
-// schedule (the seed behaviour before caching existed).
+// TestDPOSRepeatedCallsStable guards the scratch recycling: repeated DPOS
+// calls over one unchanged graph must keep returning the same schedule.
 func TestDPOSRepeatedCallsStable(t *testing.T) {
 	g, est := diamond(t)
 	c := clusterN(t, 2)

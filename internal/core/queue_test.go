@@ -111,8 +111,8 @@ func checkCandidateQueues(t *testing.T, g *graph.Graph, cluster *device.Cluster,
 			}
 			ok[i] = errs[i] == nil
 			releaseRanks(r)
-			releaseLattice(clat)
-			releaseOverlayContext(octx)
+			releaseExtension(clat)
+			releaseContext(octx)
 		})
 		for i, err := range errs {
 			if err != nil {

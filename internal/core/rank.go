@@ -84,12 +84,14 @@ func (r *Ranks) accumulate(ctx *scheduleContext, id int) {
 // carries the rank values only: DPOS's priority queue, which no caller
 // outside the package can read, is not sorted.
 func ComputeRanks(g *graph.Graph, cluster *device.Cluster, est cost.Estimator) (*Ranks, error) {
-	ctx, err := contextFor(g)
+	ctx, err := newScheduleContext(g)
 	if err != nil {
 		return nil, err
 	}
-	est = cost.ReadSnapshot(est)
-	return rankValues(ctx, latticeFor(ctx, cluster, est)), nil
+	defer releaseContext(ctx)
+	lat := buildLattice(ctx, cluster.Devices(), cost.ReadSnapshot(est))
+	defer releaseLattice(lat)
+	return rankValues(ctx, lat), nil
 }
 
 // computeRanksCtx is the context-based core of DPOS's ranks: the rank
@@ -97,7 +99,7 @@ func ComputeRanks(g *graph.Graph, cluster *device.Cluster, est cost.Estimator) (
 // comes from the ranks pool; internal callers release it when done.
 func computeRanksCtx(ctx *scheduleContext, lat *costLattice) *Ranks {
 	r := rankValues(ctx, lat)
-	r.queue = resizeInts(r.queue, ctx.nOps)
+	r.queue = resize(r.queue, ctx.nOps)
 	for i := range r.queue {
 		r.queue[i] = i
 	}
@@ -217,7 +219,7 @@ func deltaRanksOverlay(bctx *scheduleContext, baseRanks *Ranks, octx *scheduleCo
 	}
 
 	slices.SortFunc(moved, r.cmpQueue)
-	q := resizeInts(r.queue, octx.nOps-1)
+	q := resize(r.queue, octx.nOps-1)
 	i, k := 0, 0
 	for _, id := range baseRanks.queue {
 		if id == octx.dead || (anc[id] && r.Rank[id] != baseRanks.Rank[id]) {
@@ -249,10 +251,11 @@ func edgeIndex(g *graph.Graph) [][]int {
 // from the entry operation with the largest rank, then repeatedly step to
 // the successor with the largest rank until reaching an exit operation.
 func CriticalPath(g *graph.Graph, r *Ranks) []int {
-	ctx, err := contextFor(g)
+	ctx, err := newScheduleContext(g)
 	if err != nil {
 		return nil
 	}
+	defer releaseContext(ctx)
 	return criticalPathCtx(ctx, r)
 }
 

@@ -178,11 +178,11 @@ func TestComputeRanksValuesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ComputeRanks: %v", err)
 	}
-	ctx, err := contextFor(g)
+	ctx, err := newScheduleContext(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := computeRanksCtx(ctx, latticeFor(ctx, c, cost.ReadSnapshot(est)))
+	full := computeRanksCtx(ctx, buildLattice(ctx, c.Devices(), cost.ReadSnapshot(est)))
 	defer releaseRanks(full)
 	for _, f := range []struct {
 		name      string

@@ -33,11 +33,11 @@ func BenchmarkSplitCandidate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	baseCtx, err := contextFor(g)
+	baseCtx, err := newScheduleContext(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	baseLat := latticeFor(baseCtx, cluster, est)
+	baseLat := buildLattice(baseCtx, cluster.Devices(), est)
 	baseRanks := computeRanksCtx(baseCtx, baseLat)
 	defer releaseRanks(baseRanks)
 
@@ -69,7 +69,7 @@ func BenchmarkSplitCandidate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := dposFresh(cand, cluster, est, Options{})
+			s, err := DPOS(cand, cluster, est, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -93,8 +93,8 @@ func BenchmarkSplitCandidate(b *testing.B) {
 			}
 			releaseSchedule(s)
 			releaseRanks(ranks)
-			releaseLattice(clat)
-			releaseOverlayContext(octx)
+			releaseExtension(clat)
+			releaseContext(octx)
 		}
 	})
 }

@@ -177,7 +177,7 @@ func ComputePlacementOnlyCtx(ctx context.Context, g *graph.Graph, cluster *devic
 	if err != nil {
 		return nil, err
 	}
-	releaseRanks(col.ranks)
+	col.release()
 	s := col.sched
 	return &Strategy{
 		Artifact: strategy.Artifact{

@@ -7,29 +7,6 @@ import (
 	"fastt/internal/graph"
 )
 
-// Frozen is implemented by estimators whose predictions can never change
-// for the lifetime of the value: the snapshot types of this package and the
-// stateless kernels.Oracle. Schedulers use it to decide whether a dense
-// cost table resolved from the estimator may be cached and reused across
-// calls — a mutable learned Model must never be frozen into a cached table,
-// or observations made after the table was built would be ignored.
-type Frozen interface {
-	Estimator
-	// FrozenEstimator is a marker; it must only be provided by types whose
-	// Exec/Comm results are immutable.
-	FrozenEstimator()
-}
-
-// IsFrozen reports whether est guarantees immutable predictions.
-func IsFrozen(est Estimator) bool {
-	_, ok := est.(Frozen)
-	return ok
-}
-
-// FrozenEstimator marks the snapshot as immutable: both sub-model
-// snapshots are frozen at construction.
-func (s *EstimatorSnapshot) FrozenEstimator() {}
-
 // FillExecRow resolves op's execution time on every device into dst, which
 // must have len(devs) entries: dst[d] = est.Exec(op, devs[d]). This is the
 // dense-table export used by the schedulers' cost lattice, so the estimator

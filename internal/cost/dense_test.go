@@ -6,7 +6,6 @@ import (
 
 	"fastt/internal/device"
 	"fastt/internal/graph"
-	"fastt/internal/kernels"
 )
 
 // trainedModel returns a Model with enough observations that Exec and Comm
@@ -96,23 +95,9 @@ func TestFillCommGridZeroDiagonalWithoutEstimator(t *testing.T) {
 	}
 }
 
-func TestIsFrozen(t *testing.T) {
-	c := twoServerCluster(t)
-	m := trainedModel(t, c)
-	if IsFrozen(m) {
-		t.Error("mutable Model reported frozen; cached tables would mask later observations")
-	}
-	if !IsFrozen(ReadSnapshot(m)) {
-		t.Error("ReadSnapshot(Model) not frozen")
-	}
-	if !IsFrozen(kernels.NewDefaultOracle(c)) {
-		t.Error("kernels.Oracle not frozen")
-	}
-}
-
-// TestSnapshotTableSurvivesLaterObservations pins the reason IsFrozen gates
-// lattice caching: a table filled from a snapshot must keep predicting the
-// frozen values even after the live model keeps learning.
+// TestSnapshotTableSurvivesLaterObservations pins why a search reads one
+// snapshot: a table filled from it must keep predicting the frozen values
+// even after the live model keeps learning.
 func TestSnapshotTableSurvivesLaterObservations(t *testing.T) {
 	c := twoServerCluster(t)
 	m := trainedModel(t, c)

@@ -140,11 +140,6 @@ func (o *Oracle) Exec(op *graph.Op, dev *device.Device) time.Duration {
 	return o.cfg.LaunchOverhead + time.Duration(sec*float64(time.Second))
 }
 
-// FrozenEstimator marks the oracle as an immutable estimator (cost.Frozen):
-// its config and link table are fixed at construction, so dense cost tables
-// resolved from it stay valid for the oracle's lifetime.
-func (o *Oracle) FrozenEstimator() {}
-
 // Comm returns the ground-truth transfer time of a tensor between two
 // devices. Same-device transfers are free.
 func (o *Oracle) Comm(bytes int64, from, to *device.Device) time.Duration {
