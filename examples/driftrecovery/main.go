@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -23,12 +25,12 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cluster, err := device.SingleServer(2)
 	if err != nil {
 		return err
@@ -55,24 +57,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("healthy cluster : %v/iter (%d reprofiles, %d recomputes)\n",
+	fmt.Fprintf(w, "healthy cluster : %v/iter (%d reprofiles, %d recomputes)\n",
 		healthy.AvgIter.Round(time.Microsecond), healthy.Reprofiles, healthy.Recomputed)
 
 	// GPU 1 degrades to a third of its throughput mid-training.
 	cluster.Device(1).PeakFLOPS /= 3
 	cluster.Device(1).MemBandwidth /= 3
-	fmt.Println("\n*** gpu1 throttles to 1/3 throughput ***")
+	fmt.Fprintln(w, "\n*** gpu1 throttles to 1/3 throughput ***")
 
 	degraded, err := s.Run(16)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("after throttling: %v/iter (%d reprofiles, %d recomputes)\n",
+	fmt.Fprintf(w, "after throttling: %v/iter (%d reprofiles, %d recomputes)\n",
 		degraded.AvgIter.Round(time.Microsecond), degraded.Reprofiles, degraded.Recomputed)
 	if degraded.Recomputed > 0 {
-		fmt.Println("the periodic profiler noticed the drift and recomputed the strategy")
+		fmt.Fprintln(w, "the periodic profiler noticed the drift and recomputed the strategy")
 	} else {
-		fmt.Println("drift detected but the running strategy remained the best available")
+		fmt.Fprintln(w, "drift detected but the running strategy remained the best available")
 	}
 
 	// Persist the learned cost models for the next training job.
@@ -88,7 +90,7 @@ func run() error {
 		return err
 	}
 	cov := next.Costs().Comp.Coverage(train)
-	fmt.Printf("\nnew session preloaded %d cost entries (coverage %.0f%%): pre-training exploration skipped\n",
+	fmt.Fprintf(w, "\nnew session preloaded %d cost entries (coverage %.0f%%): pre-training exploration skipped\n",
 		next.Costs().Comp.NumEntries(), 100*cov)
 	return nil
 }
