@@ -2,15 +2,11 @@ package session
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"fastt/internal/checkpoint"
-	"fastt/internal/core"
 	"fastt/internal/device"
 	"fastt/internal/runtime"
-	"fastt/internal/validate"
 )
 
 // GrowReport summarizes one elastic scale-out: what joined, what the join
@@ -56,12 +52,17 @@ func (s *Session) Grow(join device.JoinSpec) (*GrowReport, error) {
 // pooled statistics when same-class devices were already profiled, and from
 // the explore-biased zero estimate otherwise.
 //
-// The backend must implement runtime.GrowableExecutor. If the recompute
-// finds no feasible placement, or the candidate fails validation, OOMs, or
-// profiles no faster than the running strategy, the session keeps the
-// pre-join strategy (existing device IDs are unchanged, so it remains
+// The session must have been bootstrapped: before Bootstrap, GrowCtx
+// returns the "session not bootstrapped" error RunCtx returns and changes
+// nothing. The backend must implement runtime.GrowableExecutor. If the
+// recompute finds no feasible placement, or the candidate fails validation,
+// OOMs, or profiles no faster than the running strategy, the session keeps
+// the pre-join strategy (existing device IDs are unchanged, so it remains
 // runnable) and reports Recomputed=false instead of failing.
 func (s *Session) GrowCtx(ctx context.Context, join device.JoinSpec) (*GrowReport, error) {
+	if s.cur.graph == nil {
+		return nil, errNotBootstrapped
+	}
 	grower, ok := s.exec.(runtime.GrowableExecutor)
 	if !ok {
 		return nil, fmt.Errorf("executor backend %T cannot grow", s.exec)
@@ -70,17 +71,7 @@ func (s *Session) GrowCtx(ctx context.Context, join device.JoinSpec) (*GrowRepor
 	if err != nil {
 		return nil, err
 	}
-
-	// Existing devices keep their IDs, so the cost-model remap is the
-	// identity; rebuilding against the new cluster re-keys the class and
-	// link-tier aggregates to include the joiner.
-	mapping := make([]int, s.cluster.NumDevices())
-	for d := range mapping {
-		mapping[d] = d
-	}
-	s.costs = s.costs.RemapDevices(nextCluster, mapping)
-	s.cluster = nextCluster
-	s.exec = nextExec
+	s.resize(nextExec, nextCluster, -1)
 	rep := &GrowReport{
 		Device:  joined.ID,
 		Name:    joined.Name,
@@ -88,62 +79,27 @@ func (s *Session) GrowCtx(ctx context.Context, join device.JoinSpec) (*GrowRepor
 		Devices: nextCluster.NumDevices(),
 	}
 
-	// Restore the latest checkpoint and charge the restart, exactly like the
-	// loss path: joining is a checkpoint/restart cycle on the training
-	// timeline. Without a snapshot (Bootstrap never activated) nothing rolls
-	// back.
-	paramBytes := s.cur.graph.ComputeStats().ParamBytes
-	snap, err := s.store.Restore()
-	switch {
-	case err == nil:
-		if s.step > snap.Step {
-			rep.LostIterations = s.step - snap.Step
-			s.step = snap.Step
-		}
-		paramBytes = snap.ParamBytes
-	case !errors.Is(err, checkpoint.ErrNoSnapshot):
-		return rep, fmt.Errorf("restore checkpoint: %w", err)
+	// Joining is a checkpoint/restart cycle on the training timeline,
+	// exactly like the loss path.
+	lost, charge, err := s.restore(0)
+	rep.LostIterations, rep.RecoveryTime = lost, charge
+	if err != nil {
+		return rep, err
 	}
-	charge := s.ckCost.RestartCost(paramBytes)
-	rep.RecoveryTime += charge
-	s.advanceTimeline(charge)
 
 	// Recompute on the enlarged cluster, warm-started from the pre-join
 	// strategy: it stays feasible (existing device IDs are unchanged) and
-	// its evaluated makespan is exactly the never-slower floor below, so
-	// candidates that cannot beat it prune early. Unlike the loss path
-	// there is no degradation ladder: the pre-join strategy is the safe
-	// floor.
-	cand, costHash, wall, err := s.computeSeeded(ctx, s.seedArtifact())
-	rep.RecomputeWall = wall
-	switch {
-	case errors.Is(err, core.ErrNoFeasiblePlacement):
-		return rep, nil
-	case err != nil:
-		return rep, fmt.Errorf("recompute on grown cluster: %w", err)
+	// its evaluated makespan is exactly the never-slower floor growRules
+	// keep, so candidates that cannot beat it prune early. A slow joiner
+	// can make the enlarged cluster's best candidate worse than the running
+	// strategy (pulling work onto it crosses a slower link than it saves
+	// in compute). Unlike the loss path there is no degradation ladder:
+	// the pre-join strategy is the safe floor.
+	o, err := s.trial(ctx, s.seedArtifact(), s.curMeasured, growRules)
+	rep.RecomputeWall = o.wall
+	rep.RecoveryTime += o.charge
+	if o.kept {
+		rep.Measured, rep.Recomputed = o.measured, true
 	}
-	if verr := validate.Strategy(cand, s.cluster, validate.Options{}); verr != nil {
-		return rep, nil
-	}
-	next := s.candidateActive(cand, costHash)
-	m, oom, perr := s.profile(next)
-	if perr != nil {
-		return rep, perr
-	}
-	if oom != nil {
-		return rep, nil
-	}
-	if s.curMeasured > 0 && m >= s.curMeasured {
-		// A slow joiner can make the enlarged cluster's best candidate worse
-		// than the running strategy (pulling work onto it crosses a slower
-		// link than it saves in compute). Mirror Bootstrap's guarantee: never
-		// end slower than the strategy already in hand.
-		return rep, nil
-	}
-	s.cur = next
-	s.curMeasured = m
-	rep.Measured = m
-	rep.Recomputed = true
-	rep.RecoveryTime += m * time.Duration(s.cfg.ProfileIters)
-	return rep, s.activate()
+	return rep, err
 }

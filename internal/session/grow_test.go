@@ -7,6 +7,7 @@ import (
 
 	"fastt/internal/core"
 	"fastt/internal/device"
+	"fastt/internal/runtime"
 	"fastt/internal/sim"
 )
 
@@ -178,5 +179,34 @@ func TestGrowDeterminismAcrossWorkers(t *testing.T) {
 		if got := runWith(workers); !bytes.Equal(got, ref) {
 			t.Errorf("workers=%d post-join artifact differs from workers=1", workers)
 		}
+	}
+}
+
+// TestGrowBeforeBootstrap: before Bootstrap there is no running strategy to
+// restore, price or seed from, so Grow must fail as Run does, before it
+// grows the executor or touches the cluster.
+func TestGrowBeforeBootstrap(t *testing.T) {
+	c := cluster4(t)
+	exec, err := sim.DefaultFaultyExecutor(c, nil)
+	if err != nil {
+		t.Fatalf("DefaultFaultyExecutor: %v", err)
+	}
+	s, err := New(c, exec, dpTrainGraph(t, 4, 64), Config{Seed: 3})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	_, runErr := s.Run(1)
+	if runErr == nil {
+		t.Fatal("Run before Bootstrap did not error")
+	}
+	rep, err := s.Grow(device.JoinSpec{Class: device.ClassA100, Server: 0})
+	if err == nil || err.Error() != runErr.Error() {
+		t.Fatalf("Grow before Bootstrap: err = %v, want Run's %q", err, runErr)
+	}
+	if rep != nil {
+		t.Errorf("Grow before Bootstrap reported %+v", rep)
+	}
+	if s.Cluster() != c || s.exec != runtime.Executor(exec) || c.NumDevices() != 4 {
+		t.Errorf("Grow before Bootstrap changed the cluster or executor")
 	}
 }

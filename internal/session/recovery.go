@@ -7,11 +7,10 @@ import (
 	"time"
 
 	"fastt/internal/checkpoint"
-	"fastt/internal/core"
+	"fastt/internal/device"
 	"fastt/internal/placement"
 	"fastt/internal/runtime"
 	"fastt/internal/strategy"
-	"fastt/internal/validate"
 )
 
 // ErrNoSurvivors is returned when a device failure leaves no cluster to
@@ -66,43 +65,16 @@ func (s *Session) recoverOnce(ctx context.Context, lost *runtime.DeviceLostError
 	if err != nil {
 		return fmt.Errorf("%w: lost device %d: %v", ErrNoSurvivors, lost.Device, err)
 	}
-	mapping := make([]int, s.cluster.NumDevices())
-	for d := range mapping {
-		switch {
-		case d == lost.Device:
-			mapping[d] = -1
-		case d < lost.Device:
-			mapping[d] = d
-		default:
-			mapping[d] = d - 1
-		}
-	}
-	s.costs = s.costs.RemapDevices(nextCluster, mapping)
-	s.cluster = nextCluster
-	s.exec = nextExec
+	s.resize(nextExec, nextCluster, lost.Device)
 
-	// Restore the latest checkpoint: training progress rolls back to the
-	// snapshot step and the restart is charged to the timeline, like a real
-	// checkpoint/restart cycle. Without a snapshot (possible when Bootstrap
-	// never activated a candidate) only the in-flight iteration is lost.
-	paramBytes := s.cur.graph.ComputeStats().ParamBytes
-	snap, err := s.store.Restore()
-	switch {
-	case err == nil:
-		if s.step > snap.Step {
-			stats.LostIterations += s.step - snap.Step
-			s.step = snap.Step
-		}
-		paramBytes = snap.ParamBytes
-	case !errors.Is(err, checkpoint.ErrNoSnapshot):
-		return fmt.Errorf("restore checkpoint: %w", err)
-	}
-
-	// Charge restart plus doubling retry backoff, and advance the backend's
-	// timeline so time-anchored fault schedules stay aligned.
-	charge := s.ckCost.RestartCost(paramBytes) + s.cfg.FaultBackoff<<(attempt-1)
+	// Restore the latest checkpoint, charging restart plus doubling retry
+	// backoff.
+	n, charge, err := s.restore(s.cfg.FaultBackoff << (attempt - 1))
+	stats.LostIterations += n
 	stats.RecoveryTime += charge
-	s.advanceTimeline(charge)
+	if err != nil {
+		return err
+	}
 
 	// Within the retry budget, recompute a full OS-DPOS strategy on the
 	// survivors; past it (a fault storm), or when the calculator finds no
@@ -110,36 +82,69 @@ func (s *Session) recoverOnce(ctx context.Context, lost *runtime.DeviceLostError
 	// recompute is warm-started from the pre-failure strategy: still a
 	// feasible plan for the same graph (the seed is re-placed on the
 	// survivors, not remapped), and its evaluated makespan prunes most of
-	// the candidate work — recovery no longer pays a cold search.
+	// the candidate work — recovery no longer pays a cold search. Memory
+	// is validated up front: the failed run's rollback safety net is gone,
+	// so a strategy that cannot fit must not activate.
 	if attempt <= s.cfg.MaxFaultRetries {
-		cand, costHash, wall, err := s.computeSeeded(ctx, s.seedArtifact())
-		stats.RecomputeWall += wall
-		switch {
-		case errors.Is(err, core.ErrNoFeasiblePlacement):
-			// fall through to the degradation ladder
-		case err != nil:
-			return fmt.Errorf("recompute on survivors: %w", err)
-		default:
-			// Memory is re-checked here: the failed run's rollback safety
-			// net is gone, so a strategy that cannot fit must not activate.
-			if verr := validate.Strategy(cand, s.cluster, validate.Options{}); verr == nil {
-				next := s.candidateActive(cand, costHash)
-				m, oom, perr := s.profile(next)
-				if perr != nil {
-					return perr // includes a nested DeviceLostError
-				}
-				if oom == nil {
-					s.cur = next
-					s.curMeasured = m
-					stats.Recomputed++
-					stats.RecoveryTime += m * time.Duration(s.cfg.ProfileIters)
-					return s.activate()
-				}
-			}
-			// structurally or memory-infeasible at runtime: degrade
+		o, err := s.trial(ctx, s.seedArtifact(), s.curMeasured, recoverRules)
+		stats.RecomputeWall += o.wall
+		stats.RecoveryTime += o.charge
+		if err != nil {
+			return err // includes a nested DeviceLostError
 		}
+		if o.kept {
+			stats.Recomputed++
+			return nil
+		}
+		// infeasible, invalid, or OOM at runtime: degrade
 	}
 	return s.degradedFallback(stats)
+}
+
+// resize installs a backend grown or shrunk by one device. Existing devices
+// keep their order: after a join (lost < 0) every ID is unchanged; after a
+// loss, IDs above lost shift down by one, the DegradableExecutor contract.
+// The cost models are remapped along the same mapping, which re-keys their
+// class and link-tier aggregates to the new cluster.
+func (s *Session) resize(exec runtime.Executor, cluster *device.Cluster, lost int) {
+	mapping := make([]int, s.cluster.NumDevices())
+	for d := range mapping {
+		switch {
+		case lost < 0 || d < lost:
+			mapping[d] = d
+		case d == lost:
+			mapping[d] = -1
+		default:
+			mapping[d] = d - 1
+		}
+	}
+	s.costs = s.costs.RemapDevices(cluster, mapping)
+	s.cluster = cluster
+	s.exec = exec
+}
+
+// restore rolls training progress back to the latest checkpoint and charges
+// its restart plus extra to the training timeline, like a real
+// checkpoint/restart cycle. It returns the iterations lost and the charge.
+// Without a snapshot (possible when Bootstrap never activated a candidate)
+// nothing rolls back and the restart is priced on the running strategy.
+func (s *Session) restore(extra time.Duration) (int, time.Duration, error) {
+	lost := 0
+	paramBytes := s.cur.graph.ComputeStats().ParamBytes
+	snap, err := s.store.Restore()
+	switch {
+	case err == nil:
+		if s.step > snap.Step {
+			lost = s.step - snap.Step
+			s.step = snap.Step
+		}
+		paramBytes = snap.ParamBytes
+	case !errors.Is(err, checkpoint.ErrNoSnapshot):
+		return 0, 0, fmt.Errorf("restore checkpoint: %w", err)
+	}
+	charge := s.ckCost.RestartCost(paramBytes) + extra
+	s.advanceTimeline(charge)
+	return lost, charge, nil
 }
 
 // degradedFallback installs the sturdiest strategy that still fits: memory-
@@ -165,22 +170,19 @@ func (s *Session) degradedFallback(stats *RunStats) error {
 	return nil
 }
 
-// installFallback profiles a fallback strategy and activates it when it runs
-// without OOM.
+// installFallback tries a fallback strategy under recoverRules: it is
+// activated when it runs without OOM.
 func (s *Session) installFallback(art *strategy.Artifact, label string, stats *RunStats) error {
-	next := active{graph: s.base, art: art}
-	m, oom, err := s.profile(next)
-	if err != nil {
+	o, err := s.try(outcome{}, active{graph: s.base, art: art}, s.curMeasured, recoverRules)
+	stats.RecoveryTime += o.charge
+	switch {
+	case err != nil:
 		return err
+	case o.oom != nil:
+		return o.oom
 	}
-	if oom != nil {
-		return oom
-	}
-	s.cur = next
-	s.curMeasured = m
 	stats.Degraded = label
-	stats.RecoveryTime += m * time.Duration(s.cfg.ProfileIters)
-	return s.activate()
+	return nil
 }
 
 // asDeviceLost unwraps a DeviceLostError so recovery loops can re-enter on

@@ -1,7 +1,14 @@
 package session
 
 import (
+	"context"
 	"testing"
+	"time"
+
+	"fastt/internal/core"
+	"fastt/internal/cost"
+	"fastt/internal/device"
+	"fastt/internal/graph"
 )
 
 func TestRunPeriodicReprofilingCounts(t *testing.T) {
@@ -75,11 +82,68 @@ func TestDriftedThresholds(t *testing.T) {
 	if _, err := s.Bootstrap(); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
-	res, err := s.runOnce(s.cur)
+	res, err := s.exec.Run(s.cur.graph, s.cur.art, s.runConfig())
 	if err != nil {
-		t.Fatalf("runOnce: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if s.drifted(res) {
 		t.Error("stable hardware reported as drifted")
+	}
+}
+
+// TestRefreshKeepsLatestMeasurement: a drift refresh that keeps the running
+// strategy must leave the session holding that strategy's latest
+// measurement, the drifted iteration, not the one from before the drift: a
+// later Grow checks its floor against it.
+func TestRefreshKeepsLatestMeasurement(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		slow       time.Duration
+		oom        bool
+		infeasible bool
+	}{
+		{name: "rolled back: slower", slow: time.Second},
+		{name: "rolled back: OOM", oom: true},
+		{name: "no feasible placement", infeasible: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster2(t)
+			// Bootstrap's candidate OOMs, so the session runs the
+			// data-parallel start, which rigged leaves alone.
+			x := &rigged{inner: simExec(c), oom: true}
+			infeasible := false
+			strategist := func(ctx context.Context, g *graph.Graph, c *device.Cluster, est cost.Estimator, o core.Options) (*core.Strategy, error) {
+				if infeasible {
+					return nil, core.ErrNoFeasiblePlacement
+				}
+				return promising(ctx, g, c, est, o)
+			}
+			s, err := New(c, x, dpTrainGraph(t, 2, 64), Config{
+				Seed: 5, MaxRounds: 1, ReprofileEvery: 2, Strategist: strategist})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if _, err := s.Bootstrap(); err != nil {
+				t.Fatalf("Bootstrap: %v", err)
+			}
+			if got := s.ActiveArtifact().Provenance.Origin; got != "data-parallel" {
+				t.Fatalf("bootstrapped onto a %q strategy, want the data-parallel start", got)
+			}
+			c.Device(1).PeakFLOPS /= 10
+			c.Device(1).MemBandwidth /= 10
+			x.slow, x.oom, infeasible = tc.slow, tc.oom, tc.infeasible
+			stats, err := s.Run(2)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if stats.Reprofiles != 1 || stats.Recomputed != 0 {
+				t.Fatalf("%d reprofiles and %d recomputes, want one check that keeps the running strategy",
+					stats.Reprofiles, stats.Recomputed)
+			}
+			if s.curMeasured != stats.Last.Makespan {
+				t.Errorf("kept strategy measured at %v, its drifted iteration took %v",
+					s.curMeasured, stats.Last.Makespan)
+			}
+		})
 	}
 }

@@ -29,6 +29,9 @@ import (
 // parallelism fits the cluster.
 var ErrNoFeasibleStart = errors.New("no feasible start strategy")
 
+// errNotBootstrapped is returned by the calls that need an active strategy.
+var errNotBootstrapped = errors.New("session not bootstrapped")
+
 // Config tunes a session.
 type Config struct {
 	// ProfileIters is the number of iterations per profiling round.
@@ -384,109 +387,69 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 			return nil, err
 		}
 		r := Round{Index: round}
-		cand, costHash, wall, err := s.computeSeeded(ctx, s.cfg.Sched.Seed)
-		r.CalcWall = wall
-		rep.CalcWallTotal += r.CalcWall
-		if errors.Is(err, core.ErrNoFeasiblePlacement) {
-			// The calculator found no placement within memory (its static
-			// model can be more conservative than runtime behaviour); keep
-			// the current strategy and continue refining the cost models.
-			m, _, perr := s.profile(s.cur)
-			if perr != nil {
-				return nil, fmt.Errorf("round %d: re-profile: %w", round, perr)
-			}
-			s.curMeasured = m
-			r.Measured = m
-			rep.SimulatedOverhead += m * time.Duration(s.cfg.ProfileIters)
-			rep.Rounds = append(rep.Rounds, r)
-			continue
+		o, err := s.trial(ctx, s.cfg.Sched.Seed, s.curMeasured, switchRules)
+		r.CalcWall = o.wall
+		rep.CalcWallTotal += o.wall
+		rep.SimulatedOverhead += o.charge
+		if err == nil && o.invalid != nil {
+			// A calculator bug: the runtime memory check (with rollback)
+			// covers capacity, so only structural soundness was asserted.
+			err = fmt.Errorf("invalid strategy: %w", o.invalid)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("round %d: compute strategy: %w", round, err)
+			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
-		r.Predicted = cand.Predicted
-		r.Splits = len(cand.Splits)
-		r.Evaluated = cand.Evaluated
-		r.Pruned = cand.Pruned
-		r.Seeded = cand.Seeded
-		r.SeedBound = cand.SeedBound
-		r.SeedWon = cand.SeedWon
-		if cand.LowerBound > 0 {
-			r.LowerBound = cand.LowerBound
-			r.GapPct = cand.GapPct
-			rep.LowerBound = cand.LowerBound
-			rep.GapPct = cand.GapPct
-			rep.BoundExact = cand.BoundExact
-			rep.BoundMethod = cand.BoundMethod
-		}
-		rep.EvaluatedTotal += cand.Evaluated
-		rep.PrunedTotal += cand.Pruned
-		if cand.Seeded {
-			rep.SeededRounds++
-			rep.SeedBound = cand.SeedBound
-		}
-		if cand.SeedWon {
-			rep.SeedWonRounds++
-		}
-
-		// Guard against calculator bugs before touching the executor; the
-		// runtime memory check (with rollback) covers capacity, so only
-		// structural soundness is asserted here.
-		if err := validate.Strategy(cand, s.cluster, validate.Options{SkipMemory: true}); err != nil {
-			return nil, fmt.Errorf("round %d: invalid strategy: %w", round, err)
-		}
-
-		if cand.Predicted < s.curMeasured {
-			next := s.candidateActive(cand, costHash)
-			if err := s.activate(); err != nil {
-				return nil, fmt.Errorf("round %d: activate: %w", round, err)
+		if cand := o.cand; cand != nil {
+			r.Predicted = cand.Predicted
+			r.Splits = len(cand.Splits)
+			r.Evaluated = cand.Evaluated
+			r.Pruned = cand.Pruned
+			r.Seeded = cand.Seeded
+			r.SeedBound = cand.SeedBound
+			r.SeedWon = cand.SeedWon
+			if cand.LowerBound > 0 {
+				r.LowerBound = cand.LowerBound
+				r.GapPct = cand.GapPct
+				rep.LowerBound = cand.LowerBound
+				rep.GapPct = cand.GapPct
+				rep.BoundExact = cand.BoundExact
+				rep.BoundMethod = cand.BoundMethod
 			}
-			rep.SimulatedOverhead += s.restartCost()
-			s.advanceTimeline(s.restartCost())
-			m, oom, err := s.profile(next)
-			switch {
-			case oom != nil:
-				// The candidate OOMs at runtime (activation lifetimes the
-				// static check missed): roll back.
-				if err := s.rollback(); err != nil {
-					return nil, fmt.Errorf("round %d: rollback: %w", round, err)
-				}
-				rep.SimulatedOverhead += s.restartCost()
-				s.advanceTimeline(s.restartCost())
-				r.RolledBack = true
-				r.Measured = s.curMeasured
-			case err != nil:
-				return nil, fmt.Errorf("round %d: profile candidate: %w", round, err)
-			case m > s.curMeasured:
-				// Paper: if the new strategy is slower, roll back.
-				if err := s.rollback(); err != nil {
-					return nil, fmt.Errorf("round %d: rollback: %w", round, err)
-				}
-				rep.SimulatedOverhead += s.restartCost() + m*time.Duration(s.cfg.ProfileIters)
-				s.advanceTimeline(s.restartCost())
-				r.RolledBack = true
-				r.Measured = m
-			default:
-				s.cur = next
-				s.curMeasured = m
-				r.Activated = true
-				r.Measured = m
-				rep.SimulatedOverhead += m * time.Duration(s.cfg.ProfileIters)
+			rep.EvaluatedTotal += cand.Evaluated
+			rep.PrunedTotal += cand.Pruned
+			if cand.Seeded {
+				rep.SeededRounds++
+				rep.SeedBound = cand.SeedBound
 			}
-		} else {
-			// Not promising: keep profiling the current strategy to refine
-			// the cost models.
+			if cand.SeedWon {
+				rep.SeedWonRounds++
+			}
+		}
+		if !o.ran {
+			// No feasible placement (the calculator's static memory model
+			// can be more conservative than runtime behaviour) or no
+			// promising candidate: keep the current strategy and profile it
+			// to refine the cost models.
 			m, _, err := s.profile(s.cur)
 			if err != nil {
 				return nil, fmt.Errorf("round %d: re-profile: %w", round, err)
 			}
 			s.curMeasured = m
-			r.Measured = m
 			rep.SimulatedOverhead += m * time.Duration(s.cfg.ProfileIters)
 		}
+		// A rolled-back round reports the candidate's measurement, unless
+		// it OOMed.
+		r.Measured = s.curMeasured
+		if o.measured > 0 {
+			r.Measured = o.measured
+		}
+		r.Activated = o.kept
+		r.RolledBack = o.ran && !o.kept
 		rep.Rounds = append(rep.Rounds, r)
 
-		if s.costs.Comp.Stable(s.cfg.MinSamples, s.cfg.StableCV) {
+		// Only a round that found a placement can end the stage: one that
+		// found none keeps refining the cost models for the next search.
+		if o.cand != nil && s.costs.Comp.Stable(s.cfg.MinSamples, s.cfg.StableCV) {
 			rep.Stable = true
 			break
 		}
@@ -510,7 +473,7 @@ func (s *Session) RunCtx(ctx context.Context, iters int) (*RunStats, error) {
 		ctx = context.Background()
 	}
 	if s.cur.graph == nil {
-		return nil, errors.New("session not bootstrapped")
+		return nil, errNotBootstrapped
 	}
 	if iters < 1 {
 		return nil, fmt.Errorf("iters must be >= 1, got %d", iters)
@@ -527,7 +490,7 @@ func (s *Session) RunCtx(ctx context.Context, iters int) (*RunStats, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := s.runOnce(s.cur)
+		res, err := s.exec.Run(s.cur.graph, s.cur.art, s.runConfig())
 		if err != nil {
 			if lost := asDeviceLost(err); lost != nil {
 				if rerr := s.recoverFromDeviceLoss(ctx, lost, stats); rerr != nil {
@@ -552,21 +515,27 @@ func (s *Session) RunCtx(ctx context.Context, iters int) (*RunStats, error) {
 			stats.Reprofiles++
 			if s.drifted(res) {
 				// Execution times changed significantly: refresh the cost
-				// models and recompute the strategy (Sec. 4).
-				s.observe(s.cur.graph, res)
-				recomputed, charged, err := s.refreshStrategy(ctx, res.Makespan)
-				if err != nil {
-					if lost := asDeviceLost(err); lost != nil {
-						stats.RecoveryTime += charged
-						if rerr := s.recoverFromDeviceLoss(ctx, lost, stats); rerr != nil {
-							return nil, fmt.Errorf("iteration %d: %w", i, rerr)
-						}
-						continue
+				// models and recompute the strategy (Sec. 4). The recompute
+				// only matters if it beats what is already running, so it is
+				// warm-started from the running strategy re-evaluated under
+				// the drifted cost models: the right incumbent to prune
+				// against.
+				s.costs.ObserveRun(s.cur.graph, res)
+				o, err := s.trial(ctx, s.seedArtifact(), res.Makespan, switchRules)
+				stats.RecoveryTime += o.charge
+				if err == nil {
+					err = o.invalid
+				}
+				if lost := asDeviceLost(err); lost != nil {
+					if rerr := s.recoverFromDeviceLoss(ctx, lost, stats); rerr != nil {
+						return nil, fmt.Errorf("iteration %d: %w", i, rerr)
 					}
+					continue
+				}
+				if err != nil {
 					return nil, fmt.Errorf("iteration %d: reprofile: %w", i, err)
 				}
-				stats.RecoveryTime += charged
-				if recomputed {
+				if o.kept {
 					stats.Recomputed++
 				}
 			}
@@ -602,53 +571,117 @@ func (s *Session) drifted(res *runtime.Result) bool {
 	return float64(drifted)/float64(checked) > s.cfg.DriftFraction
 }
 
-// refreshStrategy recomputes the strategy against the refreshed cost models
-// and activates it when its estimate beats the latest measurement. Returns
-// whether a new strategy was activated, plus the simulated recovery time the
-// attempt charged to the training timeline: every activation or rollback is
-// a checkpoint/restart cycle, and candidate profiling runs off the training
-// path. The charge is reported even alongside an error, so callers can
-// account partial work.
-func (s *Session) refreshStrategy(ctx context.Context, latest time.Duration) (bool, time.Duration, error) {
-	// Warm-start from the running strategy re-evaluated under the drifted
-	// cost models: the recompute only matters if it beats what is already
-	// running, so that is the right incumbent to prune against.
-	cand, costHash, _, err := s.computeSeeded(ctx, s.seedArtifact())
-	if errors.Is(err, core.ErrNoFeasiblePlacement) {
-		return false, 0, nil // keep the running strategy
-	}
-	if err != nil {
-		return false, 0, err
-	}
-	if err := validate.Strategy(cand, s.cluster, validate.Options{SkipMemory: true}); err != nil {
-		return false, 0, err
-	}
-	if cand.Predicted >= latest {
+// rules are what differs between the callers that try a new strategy:
+// Bootstrap rounds and drift refreshes (switchRules), GrowCtx (growRules)
+// and device-loss recovery (recoverRules). DESIGN.md §6 tabulates them.
+type rules struct {
+	// memory validates the candidate's memory use as well as its
+	// structure; without it, the runtime OOM check and a rollback are the
+	// safety net.
+	memory bool
+	// gate profiles only a candidate predicted to beat the running
+	// strategy.
+	gate bool
+	// rollback checkpoints the running strategy before the candidate runs,
+	// as the restart target if it is rejected; otherwise the candidate is
+	// checkpointed once kept.
+	rollback bool
+	// keep reports whether a candidate that profiled m without an OOM
+	// replaces the running strategy, measured at latest.
+	keep func(m, latest time.Duration) bool
+}
+
+var (
+	// switchRules keep a candidate that ties the running strategy.
+	switchRules = rules{gate: true, rollback: true,
+		keep: func(m, latest time.Duration) bool { return m <= latest }}
+	// growRules keep the pre-join strategy on a tie: a join never slows
+	// training.
+	growRules = rules{memory: true,
+		keep: func(m, latest time.Duration) bool { return m < latest }}
+	// recoverRules keep any candidate that runs: the running strategy
+	// lost a device.
+	recoverRules = rules{memory: true,
+		keep: func(time.Duration, time.Duration) bool { return true }}
+)
+
+// outcome is what one trial did.
+type outcome struct {
+	// cand is the searched candidate, nil when the search found no
+	// feasible placement; wall is the search's wall time.
+	cand *core.Strategy
+	wall time.Duration
+	// invalid is the candidate's validation error; an invalid candidate
+	// never runs.
+	invalid error
+	// ran reports whether the candidate was profiled, measured its mean
+	// iteration time (zero after an OOM), and oom its OOM.
+	ran      bool
+	measured time.Duration
+	oom      *runtime.OOMError
+	// kept reports whether the candidate replaced the running strategy.
+	kept bool
+	// charge is the simulated time spent off the training path: the
+	// trial's restarts and profiled iterations.
+	charge time.Duration
+}
+
+// trial is one attempt to replace the running strategy, measured at
+// latest (paper Sec. 4): search a candidate warm-started from seed,
+// validate it, and unless r.gate finds it unpromising, profile it and keep
+// it or the running strategy (try). Whenever the running strategy stays,
+// latest becomes its measurement.
+func (s *Session) trial(ctx context.Context, seed *strategy.Artifact, latest time.Duration, r rules) (outcome, error) {
+	cand, costHash, wall, err := s.computeSeeded(ctx, seed)
+	o := outcome{wall: wall}
+	switch {
+	case errors.Is(err, core.ErrNoFeasiblePlacement):
 		s.curMeasured = latest
-		return false, 0, nil
+		return o, nil
+	case err != nil:
+		return o, fmt.Errorf("compute strategy: %w", err)
 	}
-	next := s.candidateActive(cand, costHash)
-	if err := s.activate(); err != nil {
-		return false, 0, err
+	o.cand = cand
+	o.invalid = validate.Strategy(cand, s.cluster, validate.Options{SkipMemory: !r.memory})
+	if o.invalid != nil || r.gate && cand.Predicted >= latest {
+		s.curMeasured = latest
+		return o, nil
 	}
-	charged := s.restartCost()
-	s.advanceTimeline(charged)
+	return s.try(o, s.candidateActive(cand, costHash), latest, r)
+}
+
+// try profiles next and keeps it, or the running strategy measured at
+// latest, by r, adding what it charges to o. installFallback tries a
+// fallback strategy the same way.
+func (s *Session) try(o outcome, next active, latest time.Duration, r rules) (outcome, error) {
+	if r.rollback {
+		if err := s.activate(); err != nil {
+			return o, fmt.Errorf("activate: %w", err)
+		}
+		o.charge += s.restart()
+	}
 	m, oom, err := s.profile(next)
 	if err != nil {
-		return false, charged, err
+		return o, fmt.Errorf("profile candidate: %w", err)
 	}
-	charged += m * time.Duration(s.cfg.ProfileIters)
-	if oom != nil || m > latest {
-		if err := s.rollback(); err != nil {
-			return false, charged, err
+	o.ran, o.measured, o.oom = true, m, oom
+	if oom == nil && r.keep(m, latest) {
+		s.cur, s.curMeasured, o.kept = next, m, true
+		o.charge += m * time.Duration(s.cfg.ProfileIters)
+		if r.rollback {
+			return o, nil
 		}
-		charged += s.restartCost()
-		s.advanceTimeline(s.restartCost())
-		return false, charged, nil
+		return o, s.activate()
 	}
-	s.cur = next
-	s.curMeasured = m
-	return true, charged, nil
+	s.curMeasured = latest
+	if r.rollback {
+		o.charge += m * time.Duration(s.cfg.ProfileIters)
+		if err := s.rollback(); err != nil {
+			return o, fmt.Errorf("rollback: %w", err)
+		}
+		o.charge += s.restart()
+	}
+	return o, nil
 }
 
 // advanceTimeline charges off-iteration simulated time (restart cycles,
@@ -779,10 +812,6 @@ func (s *Session) nextSeed() int64 {
 	return s.seed
 }
 
-func (s *Session) runOnce(a active) (*runtime.Result, error) {
-	return s.exec.Run(a.graph, a.art, s.runConfig())
-}
-
 // profile runs ProfileIters iterations of the strategy, feeding the cost
 // models from the spans and transfers (the RunMetadata path), and returns
 // the mean iteration time. An OOM is reported separately so the caller can
@@ -797,7 +826,7 @@ func (s *Session) profile(a active) (time.Duration, *runtime.OOMError, error) {
 	observed := make(chan struct{})
 	go func() {
 		for res := range runs {
-			s.observe(a.graph, res)
+			s.costs.ObserveRun(a.graph, res)
 		}
 		close(observed)
 	}()
@@ -807,7 +836,7 @@ func (s *Session) profile(a active) (time.Duration, *runtime.OOMError, error) {
 	}()
 	var total time.Duration
 	for i := 0; i < s.cfg.ProfileIters; i++ {
-		res, err := s.runOnce(a)
+		res, err := s.exec.Run(a.graph, a.art, s.runConfig())
 		if err != nil {
 			var oom *runtime.OOMError
 			if errors.As(err, &oom) {
@@ -819,11 +848,6 @@ func (s *Session) profile(a active) (time.Duration, *runtime.OOMError, error) {
 		total += res.Makespan
 	}
 	return total / time.Duration(s.cfg.ProfileIters), nil, nil
-}
-
-// observe feeds one iteration's profile into the cost models.
-func (s *Session) observe(g *graph.Graph, res *runtime.Result) {
-	s.costs.ObserveRun(g, res)
 }
 
 // activate checkpoints the current state — the full strategy artifact,
@@ -885,4 +909,12 @@ func (p *pending[T]) wait() T {
 
 func (s *Session) restartCost() time.Duration {
 	return s.ckCost.RestartCost(s.cur.graph.ComputeStats().ParamBytes)
+}
+
+// restart charges one checkpoint/restart cycle of the running strategy to
+// the training timeline and returns its cost.
+func (s *Session) restart() time.Duration {
+	d := s.restartCost()
+	s.advanceTimeline(d)
+	return d
 }
