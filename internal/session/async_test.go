@@ -146,23 +146,31 @@ func TestCostHashIsTheSearchedState(t *testing.T) {
 }
 
 // rigged wraps the session's executor: runs of computed strategies (origin
-// "fastt") are stretched by slow, fail with an OOM, or lose a device on
-// the lostAt-th run, as set.
+// "fastt") are stretched by slow or take makespan, fail with an OOM once
+// fits of them have completed, or lose a device on the lostAt-th run, as
+// set; runs of every other strategy take base, when it is set.
 type rigged struct {
-	inner  runtime.Executor
-	slow   time.Duration
-	oom    bool
-	lostAt int
-	runs   int
+	inner    runtime.Executor
+	slow     time.Duration
+	makespan time.Duration
+	base     time.Duration
+	oom      bool
+	fits     int
+	lostAt   int
+	runs     int
 }
 
 func (x *rigged) Run(g *graph.Graph, art *strategy.Artifact, cfg runtime.Config) (*runtime.Result, error) {
 	if art.Provenance.Origin != "fastt" {
-		return x.inner.Run(g, art, cfg)
+		res, err := x.inner.Run(g, art, cfg)
+		if err == nil && x.base > 0 {
+			res.Makespan = x.base
+		}
+		return res, err
 	}
 	x.runs++
 	switch {
-	case x.oom:
+	case x.oom && x.runs > x.fits:
 		return nil, &runtime.OOMError{Device: 0, Needed: 2, Capacity: 1}
 	case x.runs == x.lostAt:
 		return nil, &runtime.DeviceLostError{Device: 1}
@@ -170,6 +178,9 @@ func (x *rigged) Run(g *graph.Graph, art *strategy.Artifact, cfg runtime.Config)
 	res, err := x.inner.Run(g, art, cfg)
 	if err == nil {
 		res.Makespan += x.slow
+		if x.makespan > 0 {
+			res.Makespan = x.makespan
+		}
 	}
 	return res, err
 }

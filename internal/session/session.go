@@ -373,14 +373,14 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 	s.cur = active{graph: s.base, art: start}
 	rep := &Report{Start: start.Provenance.Origin}
 
-	measured, _, err := s.profile(s.cur)
+	measured, ran, _, err := s.profile(s.cur)
 	if err != nil {
 		return nil, fmt.Errorf("profile start strategy: %w", err)
 	}
 	start.Fingerprint = fingerprint.wait()
 	s.curMeasured = measured
 	rep.StartMeasured = measured
-	rep.SimulatedOverhead += measured * time.Duration(s.cfg.ProfileIters)
+	rep.SimulatedOverhead += ran
 
 	for round := 1; round <= s.cfg.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -425,17 +425,17 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 				rep.SeedWonRounds++
 			}
 		}
-		if !o.ran {
+		if !o.profiled {
 			// No feasible placement (the calculator's static memory model
 			// can be more conservative than runtime behaviour) or no
 			// promising candidate: keep the current strategy and profile it
 			// to refine the cost models.
-			m, _, err := s.profile(s.cur)
+			m, ran, _, err := s.profile(s.cur)
 			if err != nil {
 				return nil, fmt.Errorf("round %d: re-profile: %w", round, err)
 			}
 			s.curMeasured = m
-			rep.SimulatedOverhead += m * time.Duration(s.cfg.ProfileIters)
+			rep.SimulatedOverhead += ran
 		}
 		// A rolled-back round reports the candidate's measurement, unless
 		// it OOMed.
@@ -444,7 +444,7 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 			r.Measured = o.measured
 		}
 		r.Activated = o.kept
-		r.RolledBack = o.ran && !o.kept
+		r.RolledBack = o.profiled && !o.kept
 		rep.Rounds = append(rep.Rounds, r)
 
 		// Only a round that found a placement can end the stage: one that
@@ -614,9 +614,9 @@ type outcome struct {
 	// invalid is the candidate's validation error; an invalid candidate
 	// never runs.
 	invalid error
-	// ran reports whether the candidate was profiled, measured its mean
+	// profiled reports whether the candidate ran, measured its mean
 	// iteration time (zero after an OOM), and oom its OOM.
-	ran      bool
+	profiled bool
 	measured time.Duration
 	oom      *runtime.OOMError
 	// kept reports whether the candidate replaced the running strategy.
@@ -660,14 +660,16 @@ func (s *Session) try(o outcome, next active, latest time.Duration, r rules) (ou
 		}
 		o.charge += s.restart()
 	}
-	m, oom, err := s.profile(next)
+	// Every profiled iteration that completed is charged, whatever the
+	// outcome.
+	m, ran, oom, err := s.profile(next)
+	o.charge += ran
 	if err != nil {
 		return o, fmt.Errorf("profile candidate: %w", err)
 	}
-	o.ran, o.measured, o.oom = true, m, oom
+	o.profiled, o.measured, o.oom = true, m, oom
 	if oom == nil && r.keep(m, latest) {
 		s.cur, s.curMeasured, o.kept = next, m, true
-		o.charge += m * time.Duration(s.cfg.ProfileIters)
 		if r.rollback {
 			return o, nil
 		}
@@ -675,7 +677,6 @@ func (s *Session) try(o outcome, next active, latest time.Duration, r rules) (ou
 	}
 	s.curMeasured = latest
 	if r.rollback {
-		o.charge += m * time.Duration(s.cfg.ProfileIters)
 		if err := s.rollback(); err != nil {
 			return o, fmt.Errorf("rollback: %w", err)
 		}
@@ -813,15 +814,17 @@ func (s *Session) nextSeed() int64 {
 }
 
 // profile runs ProfileIters iterations of the strategy, feeding the cost
-// models from the spans and transfers (the RunMetadata path), and returns
-// the mean iteration time. An OOM is reported separately so the caller can
-// roll back instead of failing.
+// models from the spans and transfers (the RunMetadata path). It returns
+// the mean iteration time, and ran, the simulated time of the iterations
+// that completed, which is what the training timeline is charged even
+// when a later iteration fails. An OOM is reported separately, with a zero
+// mean, so the caller can roll back instead of failing.
 //
 // Each finished iteration is observed on one goroutine, in order, beside
 // the next iteration's run: the executor does not read the cost models.
 // profile joins it before returning, so every iteration that ran has been
 // observed.
-func (s *Session) profile(a active) (time.Duration, *runtime.OOMError, error) {
+func (s *Session) profile(a active) (mean, ran time.Duration, _ *runtime.OOMError, _ error) {
 	runs := make(chan *runtime.Result, s.cfg.ProfileIters) // a send never blocks
 	observed := make(chan struct{})
 	go func() {
@@ -834,20 +837,19 @@ func (s *Session) profile(a active) (time.Duration, *runtime.OOMError, error) {
 		close(runs)
 		<-observed
 	}()
-	var total time.Duration
 	for i := 0; i < s.cfg.ProfileIters; i++ {
 		res, err := s.exec.Run(a.graph, a.art, s.runConfig())
 		if err != nil {
 			var oom *runtime.OOMError
 			if errors.As(err, &oom) {
-				return 0, oom, nil
+				return 0, ran, oom, nil
 			}
-			return 0, nil, err
+			return 0, ran, nil, err
 		}
 		runs <- res
-		total += res.Makespan
+		ran += res.Makespan
 	}
-	return total / time.Duration(s.cfg.ProfileIters), nil, nil
+	return ran / time.Duration(s.cfg.ProfileIters), ran, nil, nil
 }
 
 // activate checkpoints the current state — the full strategy artifact,
