@@ -156,23 +156,18 @@ func run() error {
 		// validate the artifact against this graph and cluster and execute it.
 		return runStrategyFile(*stratIn, cluster, train, global, *iters, *seed)
 	}
-	var exec runtime.Executor = sim.WrapEngine(engine)
-	var faultExec *sim.FaultyExecutor
+	exec := sim.WrapEngine(engine)
 	var plan *sim.FaultPlan
 	if *faultsIn != "" {
+		// The plan is armed after bootstrap: its times are relative to the
+		// start of normal training, so the user does not need to know how
+		// much simulated time pre-training consumes.
 		if plan, err = sim.ReadPlanFile(*faultsIn); err != nil {
 			return err
 		}
 		if err := plan.Validate(cluster.NumDevices()); err != nil {
 			return err
 		}
-		// The plan is armed after bootstrap: its times are relative to the
-		// start of normal training, so the user does not need to know how
-		// much simulated time pre-training consumes.
-		if faultExec, err = sim.NewFaultyExecutor(cluster, kernels.NewDefaultOracle(cluster), nil); err != nil {
-			return err
-		}
-		exec = faultExec
 	}
 	s, err := session.New(cluster, exec, train, session.Config{Seed: *seed, Sched: core.Options{
 		MaxSplitOps:   8,
@@ -191,11 +186,11 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
-	if faultExec != nil {
+	if plan != nil {
 		for i := range plan.Faults {
-			plan.Faults[i].AtNs += int64(faultExec.Epoch())
+			plan.Faults[i].AtNs += int64(exec.Epoch())
 		}
-		if err := faultExec.SetPlan(plan); err != nil {
+		if err := exec.SetPlan(plan); err != nil {
 			return fmt.Errorf("arm fault plan: %w", err)
 		}
 	}
@@ -222,7 +217,7 @@ func run() error {
 			fmt.Printf("  %s\n", sp)
 		}
 	}
-	if faultExec != nil {
+	if plan != nil {
 		fmt.Printf("\ninjected faults: %d event(s), %d device loss(es)\n",
 			len(run.FaultEvents)+run.DeviceLosses, run.DeviceLosses)
 		for _, ev := range run.FaultEvents {

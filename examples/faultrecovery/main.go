@@ -45,10 +45,7 @@ func run(w io.Writer) error {
 
 	// The executor injects faults from a deterministic plan; none is armed
 	// yet, so pre-training runs clean.
-	exec, err := sim.DefaultFaultyExecutor(cluster, nil)
-	if err != nil {
-		return err
-	}
+	exec := sim.DefaultExecutor(cluster)
 	s, err := session.New(cluster, exec, train, session.Config{
 		Seed:            7,
 		CheckpointEvery: 5, // bound the iterations a failure can destroy

@@ -49,9 +49,6 @@ func (e *prunedError) Is(target error) bool { return target == errPruned }
 
 // Options tunes DPOS and OS-DPOS.
 type Options struct {
-	// Memory converts op footprints into resident bytes for capacity
-	// checks. Zero value falls back to graph.DefaultMemoryModel.
-	Memory graph.MemoryModel
 	// MaxSplitOps bounds how many critical-path operations OS-DPOS
 	// considers for splitting; 0 means unlimited (the paper's behaviour:
 	// stop only at the first non-improving op).
@@ -102,13 +99,6 @@ type Options struct {
 	// opt-in: the bound never influences the search, and on catalog-size
 	// graphs it adds one relaxation-DP pass over the final graph.
 	ComputeBound bool
-}
-
-func (o Options) memory() graph.MemoryModel {
-	if o.Memory == (graph.MemoryModel{}) {
-		return graph.DefaultMemoryModel()
-	}
-	return o.Memory
 }
 
 // WorkerCount resolves Workers to the number of goroutines one search fans
@@ -269,7 +259,6 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 	opts Options, ranks *Ranks, bound time.Duration, live *atomic.Int64,
 	replay *incumbentPrefix) (*Schedule, error) {
 	n := ctx.nOps
-	mm := opts.memory()
 	devs := cluster.Devices()
 	nd := len(devs)
 
@@ -319,7 +308,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 			var total time.Duration
 			count := 0
 			for _, id := range cp[cpCursor:] {
-				need := mm.OpBytes(ctx.op(id))
+				need := ctx.op(id).ResidentBytes()
 				if need > free {
 					break
 				}
@@ -411,7 +400,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 		}
 		st := states[dev].insertionSlot(ready, dur, opts.DisableInsertion)
 		states[dev].commit(interval{start: st, end: st + dur, op: op.ID})
-		states[dev].memFree -= mm.OpBytes(op)
+		states[dev].memFree -= op.ResidentBytes()
 		sched.Placement[op.ID] = dev
 		sched.Start[op.ID] = st
 		sched.Finish[op.ID] = st + dur
@@ -436,7 +425,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 	// the op's in-edges probes every device under one epoch.
 	probeReady := scratch.probeReady
 	bestEFT := func(op *graph.Op) (int, error) {
-		need := mm.OpBytes(op)
+		need := op.ResidentBytes()
 		clear(probeReady)
 		pe := scratch.nextEpoch()
 		for _, ei := range ctx.inIdx[op.ID] {
@@ -477,7 +466,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 	prune := func(p int) error {
 		var rest int64
 		for _, id := range queue[p:] {
-			rest += max(mm.OpBytes(ctx.op(id)), 0)
+			rest += max(ctx.op(id).ResidentBytes(), 0)
 		}
 		completes := false
 		for i := range states {
@@ -510,7 +499,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 
 		// Honor soft pins (gradient-sync colocation) when memory allows.
 		if dev, ok := opts.Pinned[op.Name]; ok && dev >= 0 && dev < len(devs) {
-			if states[dev].memFree >= mm.OpBytes(op) {
+			if states[dev].memFree >= op.ResidentBytes() {
 				place(op, dev)
 				if onCP[id] {
 					advanceCursor(cp, &cpCursor, id)
@@ -520,7 +509,7 @@ func dposCtx(ctx *scheduleContext, cluster *device.Cluster, lat *costLattice,
 		}
 
 		if onCP[id] {
-			need := mm.OpBytes(op)
+			need := op.ResidentBytes()
 			if cpDevice < 0 || states[cpDevice].memFree < need {
 				cpDevice = selectCPDevice()
 			}

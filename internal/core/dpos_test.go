@@ -124,10 +124,7 @@ func TestDPOSMemoryForcesSpread(t *testing.T) {
 	g := graph.New()
 	g.MustAddOp(&graph.Op{Name: "m1", Kind: graph.KindMatMul, FLOPs: 1000, ParamBytes: 3 * device.GiB / 4})
 	g.MustAddOp(&graph.Op{Name: "m2", Kind: graph.KindMatMul, FLOPs: 1000, ParamBytes: 3 * device.GiB / 4})
-	c, err := device.SingleServer(2, device.WithMemory(4*device.GiB))
-	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
-	}
+	c := clusterMem(t, 2, 4*device.GiB)
 	est := &fakeEst{}
 	s, err := DPOS(g, c, est, Options{})
 	if err != nil {
@@ -141,11 +138,8 @@ func TestDPOSMemoryForcesSpread(t *testing.T) {
 func TestDPOSInfeasibleMemory(t *testing.T) {
 	g := graph.New()
 	g.MustAddOp(&graph.Op{Name: "huge", Kind: graph.KindMatMul, FLOPs: 1000, ParamBytes: 10 * device.GiB})
-	c, err := device.SingleServer(2, device.WithMemory(4*device.GiB))
-	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
-	}
-	_, err = DPOS(g, c, &fakeEst{}, Options{})
+	c := clusterMem(t, 2, 4*device.GiB)
+	_, err := DPOS(g, c, &fakeEst{}, Options{})
 	if !errors.Is(err, ErrNoFeasiblePlacement) {
 		t.Errorf("err = %v, want ErrNoFeasiblePlacement", err)
 	}

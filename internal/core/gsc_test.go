@@ -251,10 +251,7 @@ func TestDPOSPinFallsBackWhenMemoryFull(t *testing.T) {
 	g := graph.New()
 	g.MustAddOp(&graph.Op{Name: "big", Kind: graph.KindMatMul, FLOPs: 1e6, ParamBytes: 3 * device.GiB})
 	g.MustAddOp(&graph.Op{Name: "big2", Kind: graph.KindMatMul, FLOPs: 1e6, ParamBytes: 3 * device.GiB})
-	c, err := device.SingleServer(2, device.WithMemory(13*device.GiB))
-	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
-	}
+	c := clusterMem(t, 2, 13*device.GiB)
 	// Both pinned to device 0: only one fits (3 GiB x4 optimizer state).
 	sched, err := DPOS(g, c, &fakeEst{}, Options{Pinned: map[string]int{"big": 0, "big2": 0}})
 	if err != nil {
@@ -395,10 +392,7 @@ func TestColocateSyncPrunedProbeInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := device.SingleServer(2, device.WithMemory(14156800))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster := clusterMem(t, 2, 14156800)
 	est := &fakeEst{commLatency: 11 * time.Microsecond}
 	wantPins, want, err := colocateSyncOracle(g, cluster, est, Options{})
 	if err != nil {

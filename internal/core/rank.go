@@ -247,21 +247,11 @@ func edgeIndex(g *graph.Graph) [][]int {
 	return idx
 }
 
-// CriticalPath returns the op IDs of the critical path per the paper: start
-// from the entry operation with the largest rank, then repeatedly step to
-// the successor with the largest rank until reaching an exit operation.
-func CriticalPath(g *graph.Graph, r *Ranks) []int {
-	ctx, err := newScheduleContext(g)
-	if err != nil {
-		return nil
-	}
-	defer releaseContext(ctx)
-	return criticalPathCtx(ctx, r)
-}
-
-// criticalPathCtx walks the path through ctx's edge index without the
-// per-step Successors allocations of the naive walk. Ties break toward the
-// earliest outgoing edge, matching successor order. It works on both graph
+// criticalPathCtx returns the op IDs of the critical path per the paper:
+// start from the entry operation with the largest rank, then repeatedly step
+// to the successor with the largest rank until reaching an exit operation.
+// It walks ctx's edge index; ties break toward the earliest outgoing edge,
+// matching successor order. It works on both graph
 // and overlay contexts (the dead op of an overlay has no entry and no
 // edges, so the walk can never reach it).
 func criticalPathCtx(ctx *scheduleContext, r *Ranks) []int {

@@ -50,6 +50,16 @@ func clusterN(t *testing.T, n int) *device.Cluster {
 	return c
 }
 
+// clusterMem is clusterN with mem bytes of memory on every device.
+func clusterMem(t *testing.T, n int, mem int64) *device.Cluster {
+	t.Helper()
+	c := clusterN(t, n)
+	for _, d := range c.Devices() {
+		d.MemoryBytes = mem
+	}
+	return c
+}
+
 // diamond builds a -> {b, c} -> d with the given per-op exec times and
 // 10-byte tensors.
 func diamond(t *testing.T) (*graph.Graph, *fakeEst) {
@@ -119,14 +129,14 @@ func TestCriticalPathFollowsLargestRank(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ComputeRanks: %v", err)
 	}
-	cp := CriticalPath(g, r)
+	cp := criticalPath(t, g, r)
 	want := []int{0, 1, 3} // a -> b -> d (b outranks c)
 	if len(cp) != len(want) {
-		t.Fatalf("CriticalPath = %v, want %v", cp, want)
+		t.Fatalf("critical path = %v, want %v", cp, want)
 	}
 	for i := range want {
 		if cp[i] != want[i] {
-			t.Errorf("CriticalPath = %v, want %v", cp, want)
+			t.Errorf("critical path = %v, want %v", cp, want)
 			break
 		}
 	}
@@ -135,9 +145,20 @@ func TestCriticalPathFollowsLargestRank(t *testing.T) {
 func TestCriticalPathEmptyGraph(t *testing.T) {
 	g := graph.New()
 	r := &Ranks{}
-	if cp := CriticalPath(g, r); cp != nil {
-		t.Errorf("CriticalPath of empty graph = %v, want nil", cp)
+	if cp := criticalPath(t, g, r); cp != nil {
+		t.Errorf("critical path of empty graph = %v, want nil", cp)
 	}
+}
+
+// criticalPath walks g's critical path under r through a fresh context.
+func criticalPath(t *testing.T, g *graph.Graph, r *Ranks) []int {
+	t.Helper()
+	ctx, err := newScheduleContext(g)
+	if err != nil {
+		t.Fatalf("newScheduleContext: %v", err)
+	}
+	defer releaseContext(ctx)
+	return criticalPathCtx(ctx, r)
 }
 
 func TestMaxChainComm(t *testing.T) {

@@ -157,15 +157,9 @@ func attachBound(s *Strategy, cluster *device.Cluster, est cost.Estimator) {
 	s.GapPct = 100 * float64(s.Predicted-res.LowerBound) / float64(res.LowerBound)
 }
 
-// ComputePlacementOnly runs DPOS and the gradient-sync colocation pass but
-// no operation splitting, for the ablation benchmarks (Table 6 compares
-// split on/off).
-func ComputePlacementOnly(g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*Strategy, error) {
-	return ComputePlacementOnlyCtx(context.Background(), g, cluster, est, opts)
-}
-
-// ComputePlacementOnlyCtx is ComputePlacementOnly under a context; see
-// ComputeStrategyCtx for the cancellation contract.
+// ComputePlacementOnlyCtx runs DPOS and the gradient-sync colocation pass
+// but no operation splitting, for the ablation benchmarks (Table 6 compares
+// split on/off); see ComputeStrategyCtx for the cancellation contract.
 func ComputePlacementOnlyCtx(ctx context.Context, g *graph.Graph, cluster *device.Cluster, est cost.Estimator, opts Options) (*Strategy, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -191,19 +185,6 @@ func ComputePlacementOnlyCtx(ctx context.Context, g *graph.Graph, cluster *devic
 		Priorities: s.Priorities,
 		Passes:     col.passes,
 	}, nil
-}
-
-// DevicesUsed returns how many distinct devices the strategy places ops on.
-// FastT "may not use all the input devices, and can choose a subset which
-// achieves better performance than using all" (Sec. 5.2).
-func (s *Strategy) DevicesUsed() int {
-	seen := make(map[int]bool)
-	for _, d := range s.Placement {
-		if d >= 0 {
-			seen[d] = true
-		}
-	}
-	return len(seen)
 }
 
 // OpsPerDevice returns the number of ops assigned to each device ID, the

@@ -160,69 +160,21 @@ const (
 	crossRackLatency       = 150e-6
 )
 
-// Option customizes cluster construction.
-type Option func(*config)
-
-type config struct {
-	memory    int64
-	peakFLOPS float64
-	memBW     float64
-	intra     Link
-	inter     Link
-}
-
-func defaultConfig() config {
-	return config{
-		memory:    defaultGPUMemory,
-		peakFLOPS: defaultPeakFLOPS,
-		memBW:     defaultMemBW,
-		intra:     Link{Bandwidth: nvlinkBandwidth, Latency: nvlinkLatency},
-		inter:     Link{Bandwidth: ethernetBandwidth, Latency: ethernetLatency},
-	}
-}
-
-// WithMemory sets per-device memory capacity.
-func WithMemory(bytes int64) Option {
-	return func(c *config) { c.memory = bytes }
-}
-
-// WithPeakFLOPS sets per-device peak throughput.
-func WithPeakFLOPS(flops float64) Option {
-	return func(c *config) { c.peakFLOPS = flops }
-}
-
-// WithIntraLink overrides the same-server interconnect.
-func WithIntraLink(l Link) Option {
-	return func(c *config) { c.intra = l }
-}
-
-// WithInterLink overrides the cross-server interconnect.
-func WithInterLink(l Link) Option {
-	return func(c *config) { c.inter = l }
-}
-
 // NewCluster builds a cluster of `servers` machines with `gpusPerServer`
 // GPUs each — the paper's homogeneous V100 testbed. GPUs on the same server
-// are connected by the intra link (NVLink by default); GPUs on different
-// servers by the inter link. Devices carry the V100 class label but keep
-// SaturationFLOPs zero, so kernel-oracle configs retain their pre-class
-// meaning on homogeneous clusters.
-func NewCluster(servers, gpusPerServer int, opts ...Option) (*Cluster, error) {
+// are connected by NVLink, GPUs on different servers by 25 GbE. Devices
+// carry the V100 class label but keep SaturationFLOPs zero, so kernel-oracle
+// configs retain their pre-class meaning on homogeneous clusters.
+func NewCluster(servers, gpusPerServer int) (*Cluster, error) {
 	if servers < 1 || gpusPerServer < 1 {
 		return nil, fmt.Errorf("%w: servers=%d gpusPerServer=%d",
 			ErrNoDevices, servers, gpusPerServer)
 	}
-	cfg := defaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	n := servers * gpusPerServer
 	policy := DefaultLinkPolicy()
-	policy.NVLink = cfg.intra
 	// The homogeneous constructor has a single cross-server tier; keep Grow
 	// consistent with it whatever rack a joining server claims.
-	policy.SameRack = cfg.inter
-	policy.CrossRack = cfg.inter
+	policy.CrossRack = policy.SameRack
 	c := &Cluster{
 		devices: make([]*Device, n),
 		links:   make([][]Link, n),
@@ -237,9 +189,9 @@ func NewCluster(servers, gpusPerServer int, opts ...Option) (*Cluster, error) {
 				ID:           id,
 				Name:         fmt.Sprintf("server%d/gpu%d", s, g),
 				Class:        ClassV100,
-				MemoryBytes:  cfg.memory,
-				PeakFLOPS:    cfg.peakFLOPS,
-				MemBandwidth: cfg.memBW,
+				MemoryBytes:  defaultGPUMemory,
+				PeakFLOPS:    defaultPeakFLOPS,
+				MemBandwidth: defaultMemBW,
 				Server:       s,
 			}
 		}
@@ -251,9 +203,9 @@ func NewCluster(servers, gpusPerServer int, opts ...Option) (*Cluster, error) {
 				continue
 			}
 			if c.devices[i].Server == c.devices[j].Server {
-				c.links[i][j] = cfg.intra
+				c.links[i][j] = policy.NVLink
 			} else {
-				c.links[i][j] = cfg.inter
+				c.links[i][j] = policy.SameRack
 			}
 		}
 	}
@@ -262,8 +214,8 @@ func NewCluster(servers, gpusPerServer int, opts ...Option) (*Cluster, error) {
 
 // SingleServer builds an n-GPU single-machine cluster (the common testbed
 // configuration).
-func SingleServer(gpus int, opts ...Option) (*Cluster, error) {
-	return NewCluster(1, gpus, opts...)
+func SingleServer(gpus int) (*Cluster, error) {
+	return NewCluster(1, gpus)
 }
 
 // Without returns a new cluster omitting the given device — the degraded

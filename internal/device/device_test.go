@@ -71,30 +71,13 @@ func TestSlowestLinkSingleDevice(t *testing.T) {
 	}
 }
 
-func TestOptions(t *testing.T) {
-	c, err := SingleServer(2,
-		WithMemory(8*GiB),
-		WithPeakFLOPS(1e12),
-		WithIntraLink(Link{Bandwidth: 5e9, Latency: 1e-6}),
-	)
-	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
-	}
-	if c.Device(0).MemoryBytes != 8*GiB {
-		t.Errorf("memory = %d, want %d", c.Device(0).MemoryBytes, 8*GiB)
-	}
-	if c.Device(1).PeakFLOPS != 1e12 {
-		t.Errorf("peak = %g, want 1e12", c.Device(1).PeakFLOPS)
-	}
-	if got := c.Link(0, 1).Bandwidth; got != 5e9 {
-		t.Errorf("intra bandwidth = %g, want 5e9", got)
-	}
-}
-
 func TestTotalMemory(t *testing.T) {
-	c, err := NewCluster(1, 4, WithMemory(2*GiB))
+	c, err := NewHeterogeneous(&Spec{
+		Servers: []SpecServer{{GPUs: []string{"small", "small", "small", "small"}}},
+		Classes: map[string]SpecClass{"small": {MemoryBytes: 2 * GiB, PeakFLOPS: 1e12, MemBandwidthBps: 1e11}},
+	})
 	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
+		t.Fatalf("NewHeterogeneous: %v", err)
 	}
 	if got := c.TotalMemory(); got != 8*GiB {
 		t.Errorf("TotalMemory = %d, want %d", got, 8*GiB)

@@ -83,10 +83,7 @@ func faultCell(cfg Config, model string, gpus, iters int, rate float64) (*FaultR
 	if err != nil {
 		return nil, err
 	}
-	exec, err := sim.DefaultFaultyExecutor(cluster, nil)
-	if err != nil {
-		return nil, err
-	}
+	exec := sim.DefaultExecutor(cluster)
 	s, err := session.New(cluster, exec, train, session.Config{
 		Seed:            cfg.Seed,
 		MaxRounds:       cfg.MaxRounds,

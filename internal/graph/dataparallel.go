@@ -208,7 +208,3 @@ func BuildDataParallel(model *Graph, replicas int) (*Graph, error) {
 	}
 	return out, nil
 }
-
-// ReplicaOf parses the replica index of an op in a data-parallel graph from
-// its Replica field; shared ops return -1.
-func ReplicaOf(op *Op) int { return op.Replica }

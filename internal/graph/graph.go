@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -363,17 +362,6 @@ func (g *Graph) OpsByKind() map[OpKind]int {
 		m[op.Kind]++
 	}
 	return m
-}
-
-// SortedNames returns all op names sorted, mainly for deterministic test
-// output.
-func (g *Graph) SortedNames() []string {
-	names := make([]string, len(g.ops))
-	for i, op := range g.ops {
-		names[i] = op.Name
-	}
-	sort.Strings(names)
-	return names
 }
 
 // intHeap is a minimal binary min-heap over ints, avoiding the

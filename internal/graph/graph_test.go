@@ -255,11 +255,14 @@ func TestSplittableDimsRespectExtents(t *testing.T) {
 	}
 }
 
-func TestMemoryModelOpBytes(t *testing.T) {
-	m := DefaultMemoryModel()
+func TestOpResidentBytes(t *testing.T) {
 	op := &Op{ParamBytes: 100, OutputBytes: 10, WorkspaceBytes: 5}
-	if got := m.OpBytes(op); got != 4*100+10+5 {
-		t.Errorf("OpBytes = %d, want 415", got)
+	if got := op.ResidentBytes(); got != 4*100+10+5 {
+		t.Errorf("forward ResidentBytes = %d, want 415", got)
+	}
+	op.Kind = KindMatMulBackprop
+	if got := op.ResidentBytes(); got != 4*100+5 {
+		t.Errorf("backward ResidentBytes = %d, want 405", got)
 	}
 }
 

@@ -228,40 +228,23 @@ func IsBackwardKind(k OpKind) bool {
 	}
 }
 
-// MemoryModel converts an operation's static footprint into the bytes it
-// keeps resident on its assigned device. The paper's testbed trains with
-// momentum/Adam-style optimizers, so each parameter byte implies additional
-// state bytes (gradient + optimizer slots).
-type MemoryModel struct {
-	// ParamStateFactor multiplies ParamBytes: 1 for the weight itself plus
-	// gradient and optimizer slots. The default of 4 models fp32 weights
-	// with gradient and two Adam moments.
-	ParamStateFactor float64
-	// ActivationFactor multiplies OutputBytes for forward activations,
-	// which stay resident until the backward pass consumes them.
-	ActivationFactor float64
-	// TransientFactor multiplies OutputBytes for backward operations,
-	// whose outputs are freed as backprop proceeds; charging them fully
-	// would double-count the activation budget.
-	TransientFactor float64
-}
+// ParamStateFactor is the resident bytes per parameter byte: the paper's
+// testbed trains with momentum/Adam-style optimizers, so an fp32 weight
+// keeps its gradient and two Adam moments beside it. The simulator charges
+// it up front on every device; ResidentBytes adds the activations.
+const ParamStateFactor = 4
 
-// DefaultMemoryModel returns the memory model used throughout the repo:
-// fp32 parameters with gradient and two Adam moments, fully resident
-// forward activations, and no static charge for backward outputs — they
-// are freed as backprop proceeds, and the simulator's runtime accounting
-// (with the session's OOM rollback) covers their true transient peaks.
-func DefaultMemoryModel() MemoryModel {
-	return MemoryModel{ParamStateFactor: 4, ActivationFactor: 1, TransientFactor: 0}
-}
-
-// OpBytes returns the resident bytes the op contributes to its device.
-func (m MemoryModel) OpBytes(o *Op) int64 {
-	actFactor := m.ActivationFactor
-	if IsBackwardKind(o.Kind) {
-		actFactor = m.TransientFactor
+// ResidentBytes returns the bytes the op keeps resident on its device — the
+// one memory rule that placement, the scheduler's capacity checks and
+// validation share: parameter state, plus forward activations, which stay
+// resident until the backward pass consumes them, plus workspace. Backward
+// outputs are not charged: they are freed as backprop proceeds, and the
+// simulator's runtime accounting (with the session's OOM rollback) covers
+// their true transient peaks.
+func (o *Op) ResidentBytes() int64 {
+	b := ParamStateFactor*o.ParamBytes + o.WorkspaceBytes
+	if !IsBackwardKind(o.Kind) {
+		b += o.OutputBytes
 	}
-	return int64(m.ParamStateFactor*float64(o.ParamBytes)) +
-		int64(actFactor*float64(o.OutputBytes)) +
-		o.WorkspaceBytes
+	return b
 }

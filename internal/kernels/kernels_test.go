@@ -131,17 +131,20 @@ func TestSplitNeverFasterThanIdeal(t *testing.T) {
 }
 
 func TestHigherPeakDeviceIsFaster(t *testing.T) {
-	fast, err := device.SingleServer(1, device.WithPeakFLOPS(20e12))
+	// Two classes that differ only in peak throughput.
+	c, err := device.NewHeterogeneous(&device.Spec{
+		Servers: []device.SpecServer{{GPUs: []string{"fast", "slow"}}},
+		Classes: map[string]device.SpecClass{
+			"fast": {MemoryBytes: 16 * device.GiB, PeakFLOPS: 20e12, MemBandwidthBps: 900e9},
+			"slow": {MemoryBytes: 16 * device.GiB, PeakFLOPS: 5e12, MemBandwidthBps: 900e9},
+		},
+	})
 	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
+		t.Fatalf("NewHeterogeneous: %v", err)
 	}
-	slow, err := device.SingleServer(1, device.WithPeakFLOPS(5e12))
-	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
-	}
-	o := NewDefaultOracle(fast)
+	o := NewDefaultOracle(c)
 	op := &graph.Op{Kind: graph.KindMatMul, FLOPs: 1e10, OutputBytes: 4096}
-	if o.Exec(op, fast.Device(0)) >= o.Exec(op, slow.Device(0)) {
+	if o.Exec(op, c.Device(0)) >= o.Exec(op, c.Device(1)) {
 		t.Error("faster device did not yield faster exec time")
 	}
 }

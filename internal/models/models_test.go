@@ -185,10 +185,9 @@ func TestBertLargeMemoryFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BertLarge: %v", err)
 	}
-	mm := graph.DefaultMemoryModel()
 	var static, act int64
 	for _, op := range g.Ops() {
-		static += int64(mm.ParamStateFactor * float64(op.ParamBytes))
+		static += graph.ParamStateFactor * op.ParamBytes
 		// Forward activations are all live when backprop begins (each is
 		// retained for its _bp consumer); backward outputs are transient.
 		if !strings.HasSuffix(op.Name, "_bp") {

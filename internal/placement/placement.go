@@ -61,7 +61,7 @@ func DataParallel(g *graph.Graph, cluster *device.Cluster) ([]int, error) {
 // colocation constraints (AddN/ApplyGradient with their variable) are then
 // applied. This is the paper's start strategy for models too large for one
 // GPU.
-func ModelParallel(g *graph.Graph, cluster *device.Cluster, mm graph.MemoryModel) ([]int, error) {
+func ModelParallel(g *graph.Graph, cluster *device.Cluster) ([]int, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -71,7 +71,7 @@ func ModelParallel(g *graph.Graph, cluster *device.Cluster, mm graph.MemoryModel
 	}
 	var total int64
 	for _, op := range g.Ops() {
-		total += mm.OpBytes(op)
+		total += op.ResidentBytes()
 	}
 	if total > cluster.TotalMemory() {
 		return nil, fmt.Errorf("%w: need %d bytes, have %d",
@@ -80,7 +80,7 @@ func ModelParallel(g *graph.Graph, cluster *device.Cluster, mm graph.MemoryModel
 	var stagedTotal int64
 	for _, op := range g.Ops() {
 		if isStaged(op) {
-			stagedTotal += mm.OpBytes(op)
+			stagedTotal += op.ResidentBytes()
 		}
 	}
 
@@ -100,7 +100,7 @@ func ModelParallel(g *graph.Graph, cluster *device.Cluster, mm graph.MemoryModel
 		if !isStaged(op) {
 			continue
 		}
-		need := mm.OpBytes(op)
+		need := op.ResidentBytes()
 		if dev < n-1 && used > 0 && used+need > budget {
 			dev++
 			used = 0
@@ -160,15 +160,4 @@ func followStage(g *graph.Graph, place []int, id int) int {
 // Tables 1 and 2).
 func SingleDevice(g *graph.Graph) []int {
 	return make([]int, g.NumOps())
-}
-
-// FitsSingleDevice reports whether the graph's static footprint fits one
-// device — the paper's test for choosing data vs model parallelism as the
-// start strategy.
-func FitsSingleDevice(g *graph.Graph, d *device.Device, mm graph.MemoryModel) bool {
-	var total int64
-	for _, op := range g.Ops() {
-		total += mm.OpBytes(op)
-	}
-	return total <= d.MemoryBytes
 }

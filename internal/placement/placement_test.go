@@ -84,8 +84,7 @@ func TestModelParallelBalancesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SingleServer: %v", err)
 	}
-	mm := graph.DefaultMemoryModel()
-	place, err := ModelParallel(g, c, mm)
+	place, err := ModelParallel(g, c)
 	if err != nil {
 		t.Fatalf("ModelParallel: %v", err)
 	}
@@ -110,11 +109,14 @@ func TestModelParallelBalancesMemory(t *testing.T) {
 func TestModelParallelDoesNotFit(t *testing.T) {
 	g := graph.New()
 	g.MustAddOp(&graph.Op{Name: "big", Kind: graph.KindMatMul, ParamBytes: 10 * device.GiB})
-	c, err := device.SingleServer(2, device.WithMemory(1*device.GiB))
+	c, err := device.SingleServer(2)
 	if err != nil {
 		t.Fatalf("SingleServer: %v", err)
 	}
-	_, err = ModelParallel(g, c, graph.DefaultMemoryModel())
+	for _, d := range c.Devices() {
+		d.MemoryBytes = 1 * device.GiB
+	}
+	_, err = ModelParallel(g, c)
 	if !errors.Is(err, ErrDoesNotFit) {
 		t.Errorf("err = %v, want ErrDoesNotFit", err)
 	}
@@ -127,26 +129,6 @@ func TestSingleDevice(t *testing.T) {
 		if d != 0 {
 			t.Fatal("SingleDevice placed an op off device 0")
 		}
-	}
-}
-
-func TestFitsSingleDevice(t *testing.T) {
-	g := graph.New()
-	g.MustAddOp(&graph.Op{Name: "w", Kind: graph.KindMatMul, ParamBytes: 1 * device.GiB})
-	c, err := device.SingleServer(1, device.WithMemory(16*device.GiB))
-	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
-	}
-	mm := graph.DefaultMemoryModel()
-	if !FitsSingleDevice(g, c.Device(0), mm) {
-		t.Error("4 GiB footprint reported as not fitting 16 GiB")
-	}
-	small, err := device.SingleServer(1, device.WithMemory(2*device.GiB))
-	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
-	}
-	if FitsSingleDevice(g, small.Device(0), mm) {
-		t.Error("4 GiB footprint reported as fitting 2 GiB")
 	}
 }
 

@@ -18,9 +18,6 @@ import (
 // Config tunes one execution. It is backend-agnostic: backends ignore what
 // does not apply to them.
 type Config struct {
-	// Memory converts parameter bytes into resident bytes for OOM
-	// accounting. Zero value falls back to graph.DefaultMemoryModel.
-	Memory graph.MemoryModel
 	// Jitter adds multiplicative uniform noise of ±Jitter to execution
 	// times, emulating real measurement variance. Zero disables noise.
 	Jitter float64

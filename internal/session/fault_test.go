@@ -27,12 +27,9 @@ func cluster4(t *testing.T) *device.Cluster {
 // bootFaultSession bootstraps a session over a fault-capable executor with
 // no plan armed yet: fault times are absolute on the training timeline, so
 // plans are installed after bootstrap against the known post-bootstrap epoch.
-func bootFaultSession(t *testing.T, c *device.Cluster, g *graph.Graph, cfg Config) (*Session, *sim.FaultyExecutor) {
+func bootFaultSession(t *testing.T, c *device.Cluster, g *graph.Graph, cfg Config) (*Session, *sim.Executor) {
 	t.Helper()
-	exec, err := sim.DefaultFaultyExecutor(c, nil)
-	if err != nil {
-		t.Fatalf("DefaultFaultyExecutor: %v", err)
-	}
+	exec := sim.DefaultExecutor(c)
 	s, err := New(c, exec, g, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -93,6 +90,36 @@ func TestDeviceLossRecovery(t *testing.T) {
 	}
 	if again.DeviceLosses != 0 {
 		t.Fatalf("dead device failed again: %d losses", again.DeviceLosses)
+	}
+}
+
+// TestRunReportsFaultsSurfacedWhileProfiling: a straggler that activates
+// in the iteration a device failure aborts first surfaces while recovery
+// profiles the recomputed strategy, and must still reach the Run's
+// FaultEvents.
+func TestRunReportsFaultsSurfacedWhileProfiling(t *testing.T) {
+	c := cluster4(t)
+	g := dpTrainGraph(t, 4, 64)
+	s, exec := bootFaultSession(t, c, g, Config{Seed: 3, MaxRounds: 2})
+	iter := s.curMeasured
+	base := exec.Epoch()
+	plan := &sim.FaultPlan{Faults: []sim.FaultSpec{
+		{Kind: "straggler", AtNs: int64(base + iter/4), Device: 0, Factor: 3},
+		{Kind: "device-failure", AtNs: int64(base + iter/2), Device: 1},
+	}}
+	if err := exec.SetPlan(plan); err != nil {
+		t.Fatalf("SetPlan: %v", err)
+	}
+	stats, err := s.Run(5)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if stats.DeviceLosses != 1 {
+		t.Fatalf("DeviceLosses = %d, want 1", stats.DeviceLosses)
+	}
+	want := runtime.FaultEvent{Kind: runtime.FaultStraggler, At: base + iter/4, Device: 0, Factor: 3}
+	if len(stats.FaultEvents) != 1 || stats.FaultEvents[0] != want {
+		t.Fatalf("FaultEvents = %v, want [%v]", stats.FaultEvents, want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // loseDevice arms a single device failure shortly after the current epoch and
 // runs until the session has recovered onto the survivors.
-func loseDevice(t *testing.T, s *Session, exec *sim.FaultyExecutor, dev int) {
+func loseDevice(t *testing.T, s *Session, exec *sim.Executor, dev int) {
 	t.Helper()
 	iter := s.curMeasured
 	plan := &sim.FaultPlan{Faults: []sim.FaultSpec{
@@ -135,7 +135,7 @@ func TestGrowNeverSlowsTraining(t *testing.T) {
 func TestGrowRequiresGrowableExecutor(t *testing.T) {
 	c := cluster2(t)
 	g := dpTrainGraph(t, 2, 64)
-	s, err := New(c, simExec(c), g, Config{Seed: 2, MaxRounds: 1})
+	s, err := New(c, runOnly{simExec(c)}, g, Config{Seed: 2, MaxRounds: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -146,6 +146,10 @@ func TestGrowRequiresGrowableExecutor(t *testing.T) {
 		t.Fatal("Grow on a non-growable executor did not error")
 	}
 }
+
+// runOnly hides every method of its executor but Run, like a backend that
+// can neither shrink nor grow.
+type runOnly struct{ runtime.Executor }
 
 // TestGrowDeterminismAcrossWorkers is the elastic half of the reproducibility
 // guarantee: the same loss-then-join sequence produces byte-identical
@@ -187,10 +191,7 @@ func TestGrowDeterminismAcrossWorkers(t *testing.T) {
 // grows the executor or touches the cluster.
 func TestGrowBeforeBootstrap(t *testing.T) {
 	c := cluster4(t)
-	exec, err := sim.DefaultFaultyExecutor(c, nil)
-	if err != nil {
-		t.Fatalf("DefaultFaultyExecutor: %v", err)
-	}
+	exec := sim.DefaultExecutor(c)
 	s, err := New(c, exec, dpTrainGraph(t, 4, 64), Config{Seed: 3})
 	if err != nil {
 		t.Fatalf("New: %v", err)

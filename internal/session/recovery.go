@@ -69,7 +69,7 @@ func (s *Session) recoverOnce(ctx context.Context, lost *runtime.DeviceLostError
 
 	// Restore the latest checkpoint, charging restart plus doubling retry
 	// backoff.
-	n, charge, err := s.restore(s.cfg.FaultBackoff << (attempt - 1))
+	n, charge, err := s.restore(faultBackoff << (attempt - 1))
 	stats.LostIterations += n
 	stats.RecoveryTime += charge
 	if err != nil {
@@ -151,7 +151,7 @@ func (s *Session) restore(extra time.Duration) (int, time.Duration, error) {
 // balanced model parallelism over the survivors, then everything on one
 // device. It is the "keep training, slower" floor under a fault storm.
 func (s *Session) degradedFallback(stats *RunStats) error {
-	if place, err := placement.ModelParallel(s.base, s.cluster, s.cfg.Memory); err == nil {
+	if place, err := placement.ModelParallel(s.base, s.cluster); err == nil {
 		art := strategy.New(s.base, place, nil, nil, 0, s.provenance(degradedModelParallel, s.costHash()))
 		if err := s.installFallback(art, degradedModelParallel, stats); err == nil {
 			return nil

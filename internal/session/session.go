@@ -32,23 +32,35 @@ var ErrNoFeasibleStart = errors.New("no feasible start strategy")
 // errNotBootstrapped is returned by the calls that need an active strategy.
 var errNotBootstrapped = errors.New("session not bootstrapped")
 
+// The session's fixed tuning.
+const (
+	// profileIters is the number of iterations per profiling round.
+	profileIters = 3
+	// minSamples is the per-key sample count required for the computation
+	// cost model to count as stable.
+	minSamples = 2
+	// driftThreshold is the relative deviation of an op's measured time
+	// from its cost-model mean that counts as drift.
+	driftThreshold = 0.3
+	// driftFraction is the fraction of ops that must drift before the
+	// strategy is recomputed.
+	driftFraction = 0.05
+	// faultBackoff is the simulated base backoff charged to the training
+	// timeline per recovery, doubling with each consecutive device loss.
+	faultBackoff = 2 * time.Second
+)
+
 // Config tunes a session.
 type Config struct {
-	// ProfileIters is the number of iterations per profiling round.
-	ProfileIters int
 	// MaxRounds bounds the pre-training strategy-search rounds.
 	MaxRounds int
 	// StableCV is the coefficient-of-variation threshold below which the
 	// computation cost model counts as stable.
 	StableCV float64
-	// MinSamples is the per-key sample count required for stability.
-	MinSamples int64
 	// Jitter is the simulator's measurement noise.
 	Jitter float64
 	// Seed makes the session reproducible.
 	Seed int64
-	// Memory is the memory model for placement and OOM accounting.
-	Memory graph.MemoryModel
 	// Sched passes through scheduling options (e.g. MaxSplitOps).
 	Sched core.Options
 	// Strategist, when set, replaces the in-process strategy calculator:
@@ -63,30 +75,16 @@ type Config struct {
 	// (placement + order, no operation splitting) — the "No split" arm of
 	// Table 6.
 	DisableSplitting bool
-	// DisableOrderEnforcement executes computed strategies with the
-	// default FIFO executor instead of priority order — the "Default" arm
-	// of Fig. 2.
-	DisableOrderEnforcement bool
 	// ReprofileEvery enables the paper's periodic profiling during normal
 	// training: every N iterations Run profiles one iteration, and when
 	// execution times have drifted significantly from the cost models it
 	// updates them and recomputes the strategy. 0 disables.
 	ReprofileEvery int
-	// DriftThreshold is the relative deviation of an op's measured time
-	// from its cost-model mean that counts as drift (default 0.3).
-	DriftThreshold float64
-	// DriftFraction is the fraction of ops that must drift before the
-	// strategy is recomputed (default 0.05).
-	DriftFraction float64
 	// MaxFaultRetries bounds the device losses within one Run that trigger a
 	// full OS-DPOS recomputation on the survivors; losses past the budget (a
 	// fault storm) degrade straight to the bootstrap fallbacks — model
 	// parallelism, then single device — instead of erroring. Default 3.
 	MaxFaultRetries int
-	// FaultBackoff is the simulated base backoff charged to the training
-	// timeline per recovery, doubling with each consecutive device loss.
-	// Default 2s.
-	FaultBackoff time.Duration
 	// CheckpointEvery saves a training checkpoint every N successful Run
 	// iterations, bounding the iterations lost to a device failure. 0 keeps
 	// only the Run-start and post-recovery checkpoints.
@@ -95,38 +93,17 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.ProfileIters == 0 {
-		c.ProfileIters = 3
-	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 4
 	}
 	if c.StableCV == 0 {
 		c.StableCV = 0.08
 	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 2
-	}
 	if c.Jitter == 0 {
 		c.Jitter = 0.02
 	}
-	if c.Memory == (graph.MemoryModel{}) {
-		c.Memory = graph.DefaultMemoryModel()
-	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = 0.3
-	}
-	if c.DriftFraction == 0 {
-		c.DriftFraction = 0.05
-	}
 	if c.MaxFaultRetries == 0 {
 		c.MaxFaultRetries = 3
-	}
-	if c.FaultBackoff == 0 {
-		c.FaultBackoff = 2 * time.Second
-	}
-	if c.Sched.Memory == (graph.MemoryModel{}) {
-		c.Sched.Memory = c.Memory
 	}
 	return c
 }
@@ -230,7 +207,8 @@ type RunStats struct {
 	Recomputed int
 	// FaultEvents are the non-fatal injected faults (stragglers, link
 	// degradations) the executor surfaced, each exactly once, in the order
-	// they took effect.
+	// they took effect: in training iterations and in the iterations a
+	// drift refresh or a recovery profiled.
 	FaultEvents []runtime.FaultEvent
 	// DeviceLosses counts device failures recovered from during the run.
 	DeviceLosses int
@@ -268,6 +246,9 @@ type Session struct {
 	seed        int64
 	step        int
 	boot        *Report
+	// faults collects the non-fatal faults the executor surfaces in every
+	// iteration it runs, for the RunStats of the running Run.
+	faults []runtime.FaultEvent
 }
 
 // New creates a session for training the given graph (a data-parallel
@@ -426,7 +407,7 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 			}
 		}
 		if !o.profiled {
-			// No feasible placement (the calculator's static memory model
+			// No feasible placement (the calculator's static memory rule
 			// can be more conservative than runtime behaviour) or no
 			// promising candidate: keep the current strategy and profile it
 			// to refine the cost models.
@@ -449,7 +430,7 @@ func (s *Session) BootstrapCtx(ctx context.Context) (*Report, error) {
 
 		// Only a round that found a placement can end the stage: one that
 		// found none keeps refining the cost models for the next search.
-		if o.cand != nil && s.costs.Comp.Stable(s.cfg.MinSamples, s.cfg.StableCV) {
+		if o.cand != nil && s.costs.Comp.Stable(minSamples, s.cfg.StableCV) {
 			rep.Stable = true
 			break
 		}
@@ -486,6 +467,7 @@ func (s *Session) RunCtx(ctx context.Context, iters int) (*RunStats, error) {
 	var total time.Duration
 	var last *runtime.Result
 	stats := &RunStats{Iterations: iters}
+	s.faults = nil
 	for i := 0; i < iters; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -504,7 +486,7 @@ func (s *Session) RunCtx(ctx context.Context, iters int) (*RunStats, error) {
 		total += res.Makespan
 		last = res
 		s.step++
-		stats.FaultEvents = append(stats.FaultEvents, res.Faults...)
+		s.faults = append(s.faults, res.Faults...)
 
 		if s.cfg.CheckpointEvery > 0 && (i+1)%s.cfg.CheckpointEvery == 0 {
 			if err := s.activate(); err != nil {
@@ -543,6 +525,7 @@ func (s *Session) RunCtx(ctx context.Context, iters int) (*RunStats, error) {
 	}
 	stats.AvgIter = total / time.Duration(iters)
 	stats.Last = last
+	stats.FaultEvents, s.faults = s.faults, nil
 	return stats, nil
 }
 
@@ -561,14 +544,14 @@ func (s *Session) drifted(res *runtime.Result) bool {
 		if dev < 0 {
 			dev = -dev
 		}
-		if dev > s.cfg.DriftThreshold {
+		if dev > driftThreshold {
 			drifted++
 		}
 	}
 	if checked == 0 {
 		return false
 	}
-	return float64(drifted)/float64(checked) > s.cfg.DriftFraction
+	return float64(drifted)/float64(checked) > driftFraction
 }
 
 // rules are what differs between the callers that try a new strategy:
@@ -778,7 +761,7 @@ func (s *Session) startStrategy() (*strategy.Artifact, error) {
 			}
 		}
 	}
-	place, err := placement.ModelParallel(s.base, s.cluster, s.cfg.Memory)
+	place, err := placement.ModelParallel(s.base, s.cluster)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoFeasibleStart, err)
 	}
@@ -801,10 +784,9 @@ func (s *Session) startArtifact(place []int, origin string) *strategy.Artifact {
 
 func (s *Session) runConfig() runtime.Config {
 	return runtime.Config{
-		Memory:       s.cfg.Memory,
 		Jitter:       s.cfg.Jitter,
 		Seed:         s.nextSeed(),
-		EnforceOrder: !s.cfg.DisableOrderEnforcement,
+		EnforceOrder: true,
 	}
 }
 
@@ -813,7 +795,7 @@ func (s *Session) nextSeed() int64 {
 	return s.seed
 }
 
-// profile runs ProfileIters iterations of the strategy, feeding the cost
+// profile runs profileIters iterations of the strategy, feeding the cost
 // models from the spans and transfers (the RunMetadata path). It returns
 // the mean iteration time, and ran, the simulated time of the iterations
 // that completed, which is what the training timeline is charged even
@@ -825,7 +807,7 @@ func (s *Session) nextSeed() int64 {
 // profile joins it before returning, so every iteration that ran has been
 // observed.
 func (s *Session) profile(a active) (mean, ran time.Duration, _ *runtime.OOMError, _ error) {
-	runs := make(chan *runtime.Result, s.cfg.ProfileIters) // a send never blocks
+	runs := make(chan *runtime.Result, profileIters) // a send never blocks
 	observed := make(chan struct{})
 	go func() {
 		for res := range runs {
@@ -837,7 +819,7 @@ func (s *Session) profile(a active) (mean, ran time.Duration, _ *runtime.OOMErro
 		close(runs)
 		<-observed
 	}()
-	for i := 0; i < s.cfg.ProfileIters; i++ {
+	for i := 0; i < profileIters; i++ {
 		res, err := s.exec.Run(a.graph, a.art, s.runConfig())
 		if err != nil {
 			var oom *runtime.OOMError
@@ -848,8 +830,9 @@ func (s *Session) profile(a active) (mean, ran time.Duration, _ *runtime.OOMErro
 		}
 		runs <- res
 		ran += res.Makespan
+		s.faults = append(s.faults, res.Faults...)
 	}
-	return ran / time.Duration(s.cfg.ProfileIters), ran, nil, nil
+	return ran / time.Duration(profileIters), ran, nil, nil
 }
 
 // activate checkpoints the current state — the full strategy artifact,

@@ -157,9 +157,12 @@ func TestModelParallelStartForLargeModel(t *testing.T) {
 	}
 	// 4 GiB params -> 16 GiB static with optimizer state: needs 2 GPUs at
 	// 12 GiB each.
-	c, err := device.SingleServer(2, device.WithMemory(12*device.GiB))
+	c, err := device.SingleServer(2)
 	if err != nil {
 		t.Fatalf("SingleServer: %v", err)
+	}
+	for _, d := range c.Devices() {
+		d.MemoryBytes = 12 * device.GiB
 	}
 	s, err := New(c, simExec(c), g, Config{Seed: 7, MaxRounds: 1})
 	if err != nil {

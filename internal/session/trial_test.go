@@ -15,14 +15,14 @@ import (
 	"fastt/internal/sim"
 )
 
-// elasticRig is a rigged executor over a sim.FaultyExecutor, so the
-// session can shrink and grow it.
+// elasticRig is a rigged executor over a sim.Executor, so the session can
+// shrink and grow it.
 type elasticRig struct{ *rigged }
 
-func (x elasticRig) faulty() *sim.FaultyExecutor { return x.inner.(*sim.FaultyExecutor) }
+func (x elasticRig) executor() *sim.Executor { return x.inner.(*sim.Executor) }
 
 func (x elasticRig) Shrink(dev int) (runtime.Executor, *device.Cluster, error) {
-	next, c, err := x.faulty().Shrink(dev)
+	next, c, err := x.executor().Shrink(dev)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -31,7 +31,7 @@ func (x elasticRig) Shrink(dev int) (runtime.Executor, *device.Cluster, error) {
 }
 
 func (x elasticRig) Grow(join device.JoinSpec) (runtime.Executor, *device.Cluster, *device.Device, error) {
-	next, c, d, err := x.faulty().Grow(join)
+	next, c, d, err := x.executor().Grow(join)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -39,7 +39,7 @@ func (x elasticRig) Grow(join device.JoinSpec) (runtime.Executor, *device.Cluste
 	return x, c, d, nil
 }
 
-func (x elasticRig) Advance(d time.Duration) { x.faulty().Advance(d) }
+func (x elasticRig) Advance(d time.Duration) { x.executor().Advance(d) }
 
 // TestTrialCharges pins, for each caller of trial and each way its
 // candidate can end, the simulated time charged, whether the candidate was
@@ -75,11 +75,11 @@ func TestTrialCharges(t *testing.T) {
 		// returns the charge beyond the caller's own (the start profile,
 		// the restore restart and backoff) and whether the candidate was
 		// kept.
-		run  func(t *testing.T, s *Session, fe *sim.FaultyExecutor, r time.Duration) (time.Duration, bool, error)
+		run  func(t *testing.T, s *Session, fe *sim.Executor, r time.Duration) (time.Duration, bool, error)
 		want []want // in the order of outcomes
 	}{
 		{name: "Bootstrap",
-			run: func(t *testing.T, s *Session, _ *sim.FaultyExecutor, _ time.Duration) (time.Duration, bool, error) {
+			run: func(t *testing.T, s *Session, _ *sim.Executor, _ time.Duration) (time.Duration, bool, error) {
 				rep, err := s.Bootstrap()
 				if err != nil {
 					return 0, false, err
@@ -94,7 +94,7 @@ func TestTrialCharges(t *testing.T) {
 				{err: true},
 			}},
 		{name: "drift refresh",
-			run: func(t *testing.T, s *Session, _ *sim.FaultyExecutor, _ time.Duration) (time.Duration, bool, error) {
+			run: func(t *testing.T, s *Session, _ *sim.Executor, _ time.Duration) (time.Duration, bool, error) {
 				s.Cluster().Device(1).PeakFLOPS /= 10
 				s.Cluster().Device(1).MemBandwidth /= 10
 				stats, err := s.Run(2)
@@ -114,7 +114,7 @@ func TestTrialCharges(t *testing.T) {
 				{err: true, checkpoint: "data-parallel"},
 			}},
 		{name: "Grow",
-			run: func(t *testing.T, s *Session, _ *sim.FaultyExecutor, r time.Duration) (time.Duration, bool, error) {
+			run: func(t *testing.T, s *Session, _ *sim.Executor, r time.Duration) (time.Duration, bool, error) {
 				rep, err := s.Grow(device.JoinSpec{Class: device.ClassA100, Server: 0})
 				if err != nil {
 					return 0, false, err
@@ -129,7 +129,7 @@ func TestTrialCharges(t *testing.T) {
 				{checkpoint: "data-parallel"},
 			}},
 		{name: "device-loss recovery",
-			run: func(t *testing.T, s *Session, fe *sim.FaultyExecutor, r time.Duration) (time.Duration, bool, error) {
+			run: func(t *testing.T, s *Session, fe *sim.Executor, r time.Duration) (time.Duration, bool, error) {
 				plan := &sim.FaultPlan{Faults: []sim.FaultSpec{
 					{Kind: "device-failure", AtNs: int64(fe.Epoch() + base/2), Device: 2},
 				}}
@@ -143,7 +143,7 @@ func TestTrialCharges(t *testing.T) {
 				if stats.DeviceLosses != 1 {
 					t.Fatalf("%d device losses, want 1", stats.DeviceLosses)
 				}
-				return stats.RecoveryTime - r - s.cfg.FaultBackoff, stats.Recomputed == 1, nil
+				return stats.RecoveryTime - r - faultBackoff, stats.Recomputed == 1, nil
 			},
 			// A candidate that is not kept degrades to model parallelism,
 			// whose profile (6 halves) is charged too.
@@ -159,10 +159,7 @@ func TestTrialCharges(t *testing.T) {
 			t.Run(caller.name+"/"+oc.name, func(t *testing.T) {
 				c := cluster4(t)
 				g := dpTrainGraph(t, 4, 64)
-				fe, err := sim.DefaultFaultyExecutor(c, nil)
-				if err != nil {
-					t.Fatalf("DefaultFaultyExecutor: %v", err)
-				}
+				fe := sim.DefaultExecutor(c)
 				invalid := false
 				strategist := func(ctx context.Context, g *graph.Graph, c *device.Cluster, est cost.Estimator, o core.Options) (*core.Strategy, error) {
 					st, err := promising(ctx, g, c, est, o)

@@ -346,7 +346,7 @@ func (r *runState) free(dev int, bytes int64) {
 func (r *runState) execute() (*Result, error) {
 	// Charge resident parameter/optimizer state up front.
 	for _, op := range r.g.Ops() {
-		static := int64(r.cfg.Memory.ParamStateFactor * float64(op.ParamBytes))
+		static := graph.ParamStateFactor * op.ParamBytes
 		if static > 0 {
 			if err := r.alloc(r.place[op.ID], static); err != nil {
 				return nil, err

@@ -203,7 +203,7 @@ func TestLinkDegradeSlowsTransfers(t *testing.T) {
 	}
 }
 
-func TestFaultyExecutorReportsFaultsOnce(t *testing.T) {
+func TestExecutorReportsFaultsOnce(t *testing.T) {
 	c, err := device.SingleServer(2)
 	if err != nil {
 		t.Fatalf("SingleServer: %v", err)
@@ -215,12 +215,11 @@ func TestFaultyExecutorReportsFaultsOnce(t *testing.T) {
 	plan := &FaultPlan{Faults: []FaultSpec{
 		{Kind: kindStraggler, AtNs: 1, Device: 0, Factor: 2},
 	}}
-	x, err := DefaultFaultyExecutor(c, plan)
-	if err != nil {
-		t.Fatalf("DefaultFaultyExecutor: %v", err)
+	x := DefaultExecutor(c)
+	if err := x.SetPlan(plan); err != nil {
+		t.Fatalf("SetPlan: %v", err)
 	}
 	cfg := runtime.Config{}
-	cfg.Memory.ParamStateFactor = 0 // keep test graph memory-trivial
 	first, err := x.Run(g, art, cfg)
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
@@ -240,7 +239,7 @@ func TestFaultyExecutorReportsFaultsOnce(t *testing.T) {
 	}
 }
 
-func TestFaultyExecutorShrinkCarriesSchedule(t *testing.T) {
+func TestExecutorShrinkCarriesSchedule(t *testing.T) {
 	c, err := device.SingleServer(4)
 	if err != nil {
 		t.Fatalf("SingleServer: %v", err)
@@ -251,9 +250,9 @@ func TestFaultyExecutorShrinkCarriesSchedule(t *testing.T) {
 		{Kind: kindLinkDegrade, AtNs: 3, From: 1, To: 2, Factor: 2},
 		{Kind: kindLinkDegrade, AtNs: 4, From: 2, To: 3, Factor: 2},
 	}}
-	x, err := DefaultFaultyExecutor(c, plan)
-	if err != nil {
-		t.Fatalf("DefaultFaultyExecutor: %v", err)
+	x := DefaultExecutor(c)
+	if err := x.SetPlan(plan); err != nil {
+		t.Fatalf("SetPlan: %v", err)
 	}
 	x.Advance(10 * time.Second)
 
@@ -264,7 +263,7 @@ func TestFaultyExecutorShrinkCarriesSchedule(t *testing.T) {
 	if shrunk.NumDevices() != 3 {
 		t.Fatalf("shrunk cluster has %d devices, want 3", shrunk.NumDevices())
 	}
-	nx, ok := shrunkExec.(*FaultyExecutor)
+	nx, ok := shrunkExec.(*Executor)
 	if !ok {
 		t.Fatalf("shrunk executor is %T", shrunkExec)
 	}

@@ -82,9 +82,6 @@ type Config struct {
 	// Priorities maps op ID -> priority index (lower runs first). Required
 	// when Discipline is Priority.
 	Priorities []int
-	// Memory converts parameter bytes into resident bytes. Zero value
-	// falls back to graph.DefaultMemoryModel.
-	Memory graph.MemoryModel
 	// Jitter adds multiplicative uniform noise of ±Jitter to kernel and
 	// transfer times, emulating real measurement variance for the cost
 	// models to average over. Zero disables noise.
@@ -147,9 +144,6 @@ func (e *Engine) Run(g *graph.Graph, placement []int, cfg Config) (*Result, erro
 	if cfg.Discipline == Priority && len(cfg.Priorities) != g.NumOps() {
 		return nil, fmt.Errorf("%w: priority list has %d entries for %d ops",
 			ErrBadPlacement, len(cfg.Priorities), g.NumOps())
-	}
-	if cfg.Memory == (graph.MemoryModel{}) {
-		cfg.Memory = graph.DefaultMemoryModel()
 	}
 	run := newRunState(e, g, placement, cfg)
 	return run.execute()

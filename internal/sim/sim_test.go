@@ -203,10 +203,11 @@ func TestRunBadPlacement(t *testing.T) {
 }
 
 func TestRunOOMOnParameters(t *testing.T) {
-	c, err := device.SingleServer(1, device.WithMemory(1<<20))
+	c, err := device.SingleServer(1)
 	if err != nil {
 		t.Fatalf("SingleServer: %v", err)
 	}
+	c.Device(0).MemoryBytes = 1 << 20
 	e := NewEngine(c, kernels.NewDefaultOracle(c))
 	g := graph.New()
 	g.MustAddOp(&graph.Op{Name: "big", Kind: graph.KindMatMul, ParamBytes: 1 << 20})
@@ -222,10 +223,11 @@ func TestRunOOMOnParameters(t *testing.T) {
 }
 
 func TestRunOOMOnActivations(t *testing.T) {
-	c, err := device.SingleServer(1, device.WithMemory(1<<20))
+	c, err := device.SingleServer(1)
 	if err != nil {
 		t.Fatalf("SingleServer: %v", err)
 	}
+	c.Device(0).MemoryBytes = 1 << 20
 	e := NewEngine(c, kernels.NewDefaultOracle(c))
 	g := graph.New()
 	// Two live activations of 600 KB cannot coexist in 1 MB.

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -69,9 +70,9 @@ func TestDPOSAlwaysProducesValidSchedules(t *testing.T) {
 			t.Errorf("trial %d: full strategy invalid: %v", trial, err)
 		}
 
-		placeOnly, err := core.ComputePlacementOnly(g, cluster, oracle, opts)
+		placeOnly, err := core.ComputePlacementOnlyCtx(context.Background(), g, cluster, oracle, opts)
 		if err != nil {
-			t.Fatalf("trial %d: ComputePlacementOnly: %v", trial, err)
+			t.Fatalf("trial %d: ComputePlacementOnlyCtx: %v", trial, err)
 		}
 		if err := Strategy(placeOnly, cluster, Options{SkipMemory: true}); err != nil {
 			t.Errorf("trial %d: placement-only strategy invalid: %v", trial, err)

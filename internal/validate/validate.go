@@ -28,10 +28,9 @@ var (
 
 // Options tunes validation.
 type Options struct {
-	// Memory converts ops to resident bytes; zero value uses the default
-	// model. Set SkipMemory to bypass capacity checks (e.g. for graphs
-	// validated at runtime by the simulator).
-	Memory     graph.MemoryModel
+	// SkipMemory bypasses the capacity check against each op's
+	// graph.Op.ResidentBytes (e.g. for graphs validated at runtime by the
+	// simulator).
 	SkipMemory bool
 }
 
@@ -90,13 +89,9 @@ func Placement(g *graph.Graph, place []int, cluster *device.Cluster, opts Option
 	if opts.SkipMemory {
 		return nil
 	}
-	mm := opts.Memory
-	if mm == (graph.MemoryModel{}) {
-		mm = graph.DefaultMemoryModel()
-	}
 	used := make([]int64, cluster.NumDevices())
 	for _, op := range g.Ops() {
-		used[place[op.ID]] += mm.OpBytes(op)
+		used[place[op.ID]] += op.ResidentBytes()
 	}
 	for d, u := range used {
 		if cap := cluster.Device(d).MemoryBytes; u > cap {

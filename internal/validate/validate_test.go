@@ -2,6 +2,7 @@ package validate
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"fastt/internal/core"
@@ -33,10 +34,73 @@ func realStrategy(t *testing.T) (*core.Strategy, *device.Cluster) {
 	return st, c
 }
 
+// v100s returns one server of n V100-class GPUs with mem bytes of memory
+// each.
+func v100s(t *testing.T, n int, mem int64) *device.Cluster {
+	t.Helper()
+	v100, _ := device.ClassByName(device.ClassV100)
+	gpus := make([]string, n)
+	for i := range gpus {
+		gpus[i] = "gpu"
+	}
+	c, err := device.NewHeterogeneous(&device.Spec{
+		Servers: []device.SpecServer{{GPUs: gpus}},
+		Classes: map[string]device.SpecClass{"gpu": {
+			MemoryBytes:     mem,
+			PeakFLOPS:       v100.PeakFLOPS,
+			MemBandwidthBps: v100.MemBandwidth,
+			SaturationFLOPs: v100.SaturationFLOPs,
+		}},
+	})
+	if err != nil {
+		t.Fatalf("NewHeterogeneous: %v", err)
+	}
+	return c
+}
+
+// TestStrategyAcceptsRealOutput: the search and validation share one memory
+// rule (graph.Op.ResidentBytes), so every strategy the search returns passes
+// the memory check, and a cell with no room returns
+// core.ErrNoFeasiblePlacement: on every catalog model at 2 and 4 GPUs of 16,
+// 8 and 4 GiB.
 func TestStrategyAcceptsRealOutput(t *testing.T) {
 	st, c := realStrategy(t)
 	if err := Strategy(st, c, Options{}); err != nil {
 		t.Errorf("real strategy rejected: %v", err)
+	}
+	// The cells whose data-parallel graph fits nowhere.
+	infeasible := map[string]bool{
+		"VGG-19@2/4GiB": true, "ResNet200@2/4GiB": true, "Bert-large@2/4GiB": true,
+	}
+	for _, spec := range models.Catalog() {
+		for _, gpus := range []int{2, 4} {
+			m, err := spec.Build(max(spec.GlobalBatch/gpus, 1))
+			if err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
+			}
+			g, err := graph.BuildDataParallel(m, gpus)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
+			}
+			for _, gib := range []int64{16, 8, 4} {
+				cell := fmt.Sprintf("%s@%d/%dGiB", spec.Name, gpus, gib)
+				c := v100s(t, gpus, gib*device.GiB)
+				st, err := core.ComputeStrategy(g, c, kernels.NewDefaultOracle(c),
+					core.Options{MaxSplitOps: 2, MaxSyncGroups: 2, Workers: 1})
+				switch {
+				case infeasible[cell]:
+					if !errors.Is(err, core.ErrNoFeasiblePlacement) {
+						t.Errorf("%s: err = %v, want ErrNoFeasiblePlacement", cell, err)
+					}
+				case err != nil:
+					t.Errorf("%s: %v", cell, err)
+				default:
+					if err := Strategy(st, c, Options{}); err != nil {
+						t.Errorf("%s: strategy rejected: %v", cell, err)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -76,10 +140,7 @@ func TestPlacementViolations(t *testing.T) {
 func TestPlacementMemoryViolation(t *testing.T) {
 	g := graph.New()
 	g.MustAddOp(&graph.Op{Name: "w", Kind: graph.KindMatMul, ParamBytes: 8 * device.GiB})
-	c, err := device.SingleServer(1, device.WithMemory(4*device.GiB))
-	if err != nil {
-		t.Fatalf("SingleServer: %v", err)
-	}
+	c := v100s(t, 1, 4*device.GiB)
 	if err := Placement(g, []int{0}, c, Options{}); !errors.Is(err, ErrMemory) {
 		t.Errorf("memory violation: %v", err)
 	}

@@ -13,7 +13,9 @@
 #           artifact, `fastt -strategy` reloads and executes it, and the two
 #           canonical artifact-exec lines must match byte for byte — plus the
 #           elastic loop: examples/elastic must lose a device, accept a
-#           joiner, recompute, and resume
+#           joiner, recompute, and resume; Bert-large on 2 GPUs at batch 48
+#           must OOM under data parallelism and start model-parallel; and a
+#           straggler first surfaced while recovery profiles must be reported
 #   serve:  strategy-service daemon smoke — start `fastt serve` on an
 #           ephemeral port, expect `ok` from /healthz and 404 for an uncached
 #           fingerprint-only POST, then SIGTERM it: it must print "shutting
@@ -120,6 +122,27 @@ if [ "$tier" = "smoke" ] || [ "$tier" = "all" ]; then
 			exit 1
 		fi
 	done
+	echo "== smoke: data parallelism OOMs -> model-parallel start (Bert-large, 2 GPUs, batch 48)"
+	"$tmp/fastt" -model Bert-large -gpus 2 -batch 48 > "$tmp/oom.out"
+	for want in 'data parallel : OOM' 'start: model-parallel'; do
+		if ! grep -qF "$want" "$tmp/oom.out"; then
+			echo "OOM fallback output missing \"$want\":" >&2
+			cat "$tmp/oom.out" >&2
+			exit 1
+		fi
+	done
+	echo "== smoke: a straggler first surfaced while recovery profiles is reported"
+	# The device failure aborts the iteration in which the straggler
+	# activates, so the straggler first surfaces in recovery's profile.
+	printf '%s\n' '{"faults":[' \
+		'{"kind":"straggler","atNs":1000000,"device":0,"factor":3},' \
+		'{"kind":"device-failure","atNs":5000000,"device":1}]}' > "$tmp/plan.json"
+	"$tmp/fastt" -model MLP -gpus 4 -iters 20 -seed 7 -faults "$tmp/plan.json" > "$tmp/faults.out"
+	if ! grep -q '^  device 0 straggling' "$tmp/faults.out"; then
+		echo "fault report missing the straggler:" >&2
+		cat "$tmp/faults.out" >&2
+		exit 1
+	fi
 fi
 
 if [ "$tier" = "serve" ] || [ "$tier" = "all" ]; then
